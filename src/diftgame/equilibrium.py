@@ -1,10 +1,12 @@
 """Exact evaluation and equilibrium certification for the inspection game.
 
-These routines never sample: they marginalize the known kernel under a
-policy pair and solve small dense linear systems.  All sums run over the
-states reachable from the root in the game graph; states that exist only as
-indices (a node paired with a stage the intrusion can never be in) are
-ignored.
+These routines never sample.  Each one fixes one player's mixture and
+reads the kernel through :meth:`Game.marginalize`, which sums the opponent
+out and leaves per-(state, own action) rows of expected payoffs and sparse
+next-state distributions; gains and biases then come from small dense
+linear systems.  All sums run over the states reachable from the root in
+the game graph; states that exist only as indices (a node paired with a
+stage the intrusion can never be in) are ignored.
 
 For a policy pair the induced chain has a single recurrent class containing
 the root, so the long-run average payoff (gain) is the stationary
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, ROOT, classify_chain
+from .game import Game, Marginal, classify_chain
 from .policies import Policy, PolicyPair, cut_policy, uniform_policy
 
 
@@ -166,44 +168,33 @@ def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     )
 
 
-def _slack_table(
-    game: Game,
-    actor: str,
-    payoff: str,
-    pi: PolicyPair,
-    rho: float,
-    v: np.ndarray,
-) -> list[np.ndarray]:
+def _slack(game: Game, m: Marginal, pay: np.ndarray, rho: float, v: np.ndarray) -> list:
     """Evaluation-equation slack per own action, one vector per state.
 
-    Entry (s, b) is rho + v(s) minus the expected (payoff + next bias) when
-    ``actor`` commits to action b at s and the opponent plays its mixture.
-    The gain/bias passed in must belong to ``payoff``; letting the payoff
-    player differ from the actor is what the cross terms of the gradient
-    need.  Unreachable states get zero vectors.
+    Entry (s, b) is rho + v(s) minus the expected (``pay`` + next bias) when
+    the marginal's actor commits to action b at s.  The payoff may belong to
+    either player; the gain and bias passed in must belong to the same one.
+    Unreachable states get zero vectors.
     """
-    own_is_d = actor == "D"
-    pay_is_d = payoff == "D"
-    opp_tab = (pi.a if own_is_d else pi.d).table
-    table: list[np.ndarray] = []
-    for s in range(game.n_states):
-        n_own = len(game.actions_d[s] if own_is_d else game.actions_a[s])
-        if not game.reachable[s]:
-            table.append(np.zeros(n_own))
-            continue
-        opp = opp_tab[s]
-        vec = np.empty(n_own)
-        for b in range(n_own):
-            acc = 0.0
-            for o, w in enumerate(opp):
-                if w == 0.0:
-                    continue
-                oc = game.outcomes(s, b, o) if own_is_d else game.outcomes(s, o, b)
-                for s2, p, r_d, r_a in oc:
-                    acc += w * p * ((r_d if pay_is_d else r_a) + v[s2])
-            vec[b] = rho + v[s] - acc
-        table.append(vec)
-    return table
+    vec = rho + v[m.state] - pay - m.expect(v)
+    vec[~game.reachable[m.state]] = 0.0
+    return np.split(vec, m.first[1:-1])
+
+
+def _omega(game: Game, pi: PolicyPair, rho: tuple, v: tuple) -> OmegaTable:
+    """Both players' own-payoff slack for gains ``rho`` and biases ``v``."""
+    om: OmegaTable = {}
+    for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
+        m = game.marginalize(opp, player)
+        om[player] = _slack(game, m, m.r[k], rho[k], v[k])
+    return om
+
+
+def _phis(game: Game, pi: PolicyPair, om: OmegaTable) -> list[float]:
+    """Policy-weighted slack sums (phi_D, phi_A) over the reachable states."""
+    reach = np.flatnonzero(game.reachable)
+    pols = {"D": pi.d, "A": pi.a}
+    return [sum(float(pols[k].table[s] @ om[k][s]) for s in reach) for k in pols]
 
 
 def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTable:
@@ -215,19 +206,12 @@ def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTabl
     equilibrium no entry is meaningfully negative.
     """
     ev = ev or evaluate_policy_pair(game, pi)
-    return {
-        "D": _slack_table(game, "D", "D", pi, ev.rho_d, ev.v_d),
-        "A": _slack_table(game, "A", "A", pi, ev.rho_a, ev.v_a),
-    }
+    return _omega(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
 
 
 def delta(game: Game, pi: PolicyPair, om: OmegaTable) -> float:
     """Policy-weighted aggregate of all residuals (zero at exact evaluation)."""
-    total = 0.0
-    for player, pol in (("D", pi.d), ("A", pi.a)):
-        for s in np.flatnonzero(game.reachable):
-            total += float(pol.table[s] @ om[player][s])
-    return total
+    return sum(_phis(game, pi, om))
 
 
 def td_errors(
@@ -247,13 +231,8 @@ def td_errors(
         ev = evaluate_policy_pair(game, pi)
         rho = (ev.rho_d, ev.rho_a)
         v = (ev.v_d, ev.v_a)
-    phis = []
-    for player, pol, r_k, v_k in (("D", pi.d, rho[0], v[0]), ("A", pi.a, rho[1], v[1])):
-        tab = _slack_table(game, player, player, pi, r_k, v_k)
-        phis.append(
-            sum(float(pol.table[s] @ tab[s]) for s in np.flatnonzero(game.reachable))
-        )
-    return phis[0], phis[1], phis[0] + phis[1]
+    phi_d, phi_a = _phis(game, pi, _omega(game, pi, rho, v))
+    return phi_d, phi_a, phi_d + phi_a
 
 
 def exact_gradient(
@@ -264,15 +243,15 @@ def exact_gradient(
     The aggregate is bilinear in the two policies once the evaluation pair
     (gain, bias) is frozen, so the derivative in coordinate (k, s, b) is the
     sum over both payoff players of the slack at (s, b) with the opponent
-    marginalized.
+    marginalized.  Slack is linear in payoff, gain and bias, so that sum is
+    the slack of the summed payoffs against the summed gains and biases.
     """
     ev = ev or evaluate_policy_pair(game, pi)
+    rho, v = ev.rho_d + ev.rho_a, ev.v_d + ev.v_a
     grads: OmegaTable = {}
-    for player in ("D", "A"):
-        own = _slack_table(game, player, player, pi, ev.rho(player), ev.v(player))
-        other = "A" if player == "D" else "D"
-        cross = _slack_table(game, player, other, pi, ev.rho(other), ev.v(other))
-        grads[player] = [o + c for o, c in zip(own, cross)]
+    for player, opp in (("D", pi.a), ("A", pi.d)):
+        m = game.marginalize(opp, player)
+        grads[player] = _slack(game, m, m.r.sum(axis=0), rho, v)
     return grads
 
 
@@ -286,44 +265,33 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     """
     if player not in ("D", "A"):
         raise ValueError(f"bad player {player!r}")
-    own_is_d = player == "D"
-    if opponent.player != ("A" if own_is_d else "D"):
+    if opponent.player != ("A" if player == "D" else "D"):
         raise ValueError("opponent policy is for the wrong player")
+    m = game.marginalize(opponent, player)
+    r = m.r[0 if player == "D" else 1]
     R = np.flatnonzero(game.reachable)
-    pos = {int(s): i for i, s in enumerate(R)}
-    m = len(R)
+    n, nr = game.n_states, len(R)
+    pos = np.zeros(n, dtype=int)
+    pos[R] = np.arange(nr)
+    cell = pos[m.state[m.row]] * nr + pos[m.nxt]  # entry -> (row, col) of P_pol
+    first = m.first.tolist()
+    choice = [first[s] for s in R]  # chosen row per reachable state
 
-    q_r: list[np.ndarray] = []
-    q_P: list[np.ndarray] = []
-    for s in R:
-        opp = opponent.table[s]
-        n_own = len(game.actions_d[s] if own_is_d else game.actions_a[s])
-        r = np.zeros(n_own)
-        P = np.zeros((n_own, m))
-        for b in range(n_own):
-            for o, w in enumerate(opp):
-                if w == 0.0:
-                    continue
-                oc = game.outcomes(s, b, o) if own_is_d else game.outcomes(s, o, b)
-                for s2, p, r_d, r_a in oc:
-                    r[b] += w * p * (r_d if own_is_d else r_a)
-                    P[b, pos[s2]] += w * p
-        q_r.append(r)
-        q_P.append(P)
-
-    choice = [0] * m
-    max_rounds = 10 + sum(len(r) for r in q_r)
-    gain = 0.0
+    max_rounds = 10 + sum(first[s + 1] - first[s] for s in R)
     for _ in range(max_rounds):
-        P_pol = np.vstack([q_P[i][choice[i]] for i in range(m)])
-        r_pol = np.array([q_r[i][choice[i]] for i in range(m)])
-        g, v, _ = _solve_gain_bias(P_pol, r_pol)
+        chosen = np.zeros(len(r), dtype=bool)
+        chosen[choice] = True
+        on = chosen[m.row]
+        P_pol = np.bincount(cell[on], m.prob[on], minlength=nr * nr).reshape(nr, nr)
+        g, v, _ = _solve_gain_bias(P_pol, r[choice])
         gain = float(g[0])
-        v = v[:, 0]
+        v_full = np.zeros(n)
+        v_full[R] = v[:, 0]
+        q = (r + m.expect(v_full)).tolist()
         changed = False
-        for i in range(m):
-            q = q_r[i] + q_P[i] @ v
-            best = int(np.argmax(q))
+        for i, s in enumerate(R):
+            seg = q[first[s] : first[s + 1]]
+            best = first[s] + seg.index(max(seg))
             if q[best] > q[choice[i]] + 1e-10:
                 choice[i] = best
                 changed = True
@@ -332,27 +300,20 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     else:
         raise UnichainViolationError("policy iteration failed to settle")
 
-    table = []
-    for s in range(game.n_states):
-        n_own = len(game.actions_d[s] if own_is_d else game.actions_a[s])
-        vec = np.zeros(n_own)
-        vec[choice[pos[s]] if s in pos else 0] = 1.0
-        table.append(vec)
-    return Policy(player, table), gain
+    picks = m.first[:-1].copy()  # unreachable states keep their first action
+    picks[R] = choice
+    flat = np.zeros(len(r))
+    flat[picks] = 1.0
+    return Policy(player, np.split(flat, m.first[1:-1])), gain
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
     ev = ev or evaluate_policy_pair(game, pi)
     om = omega(game, pi, ev)
-    dlt = delta(game, pi, om)
-    phi_d, phi_a, phi_t = td_errors(
-        game, pi, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a)
-    )
+    phi_d, phi_a = _phis(game, pi, om)
     reach = np.flatnonzero(game.reachable)
-    min_om = min(
-        float(om[k][s].min()) for k in ("D", "A") for s in reach
-    )
-    return Residuals(om, dlt, phi_d, phi_a, phi_t, min_om)
+    min_om = min(float(om[k][s].min()) for k in ("D", "A") for s in reach)
+    return Residuals(om, phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
 
 
 def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:

@@ -13,6 +13,9 @@ recurrent walk and long-run average rewards are well defined.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,7 +49,7 @@ ROOT = 0  # state index of the root (pre-intrusion) state
 
 
 def _check_signs(name: str, vals: tuple[float, ...], positive: bool) -> None:
-    bad = [v for v in vals if (v <= 0 if positive else v >= 0)]
+    bad = [v for v in vals if not (math.isfinite(v) and (v > 0 if positive else v < 0))]
     if bad:
         want = "positive" if positive else "negative"
         raise GameBuildError(f"{name} entries must be {want}, got {vals}")
@@ -96,10 +99,10 @@ class RewardParams:
         _check_signs("alpha_a", self.alpha_a, positive=False)
         _check_signs("beta_a", self.beta_a, positive=True)
         _check_signs("sigma_a", self.sigma_a, positive=False)
-        if any(c > 0 for c in self.cost_d_per_stage):
-            raise GameBuildError("inspection costs must be <= 0")
-        if any(c > 0 for c in self.cost_overrides.values()):
-            raise GameBuildError("inspection cost overrides must be <= 0")
+        if not all(math.isfinite(c) and c <= 0 for c in self.cost_d_per_stage):
+            raise GameBuildError("inspection costs must be finite and <= 0")
+        if not all(math.isfinite(c) and c <= 0 for c in self.cost_overrides.values()):
+            raise GameBuildError("inspection cost overrides must be finite and <= 0")
 
     @property
     def stages(self) -> int:
@@ -121,8 +124,8 @@ class RewardParams:
 
     def scaled(self, factor: float) -> RewardParams:
         """Uniformly rescaled copy (signs preserved for factor > 0)."""
-        if factor <= 0:
-            raise GameBuildError("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise GameBuildError("scale factor must be finite and positive")
 
         def mul(t: tuple[float, ...]) -> tuple[float, ...]:
             return tuple(factor * x for x in t)
@@ -159,6 +162,28 @@ class FnRates:
 
 
 Outcome = tuple[tuple[int, float, float, float], ...]  # (s', p, r_d, r_a)
+
+
+class Marginal(NamedTuple):
+    """One player's view of the kernel with the opponent's mixture summed out.
+
+    The actor's own actions at state s are rows ``first[s]`` to
+    ``first[s + 1] - 1``.  ``r[0]`` and ``r[1]`` hold the expected one-step
+    payoffs of D and A per row.  Next states are sparse: entry k moves
+    row ``row[k]`` to state ``nxt[k]`` with probability ``prob[k]``, one
+    entry per opponent action and outcome.
+    """
+
+    first: np.ndarray
+    state: np.ndarray  # state of each row
+    r: np.ndarray
+    row: np.ndarray
+    nxt: np.ndarray
+    prob: np.ndarray
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """Expected value of ``v`` at the next state, per row."""
+        return np.bincount(self.row, self.prob * v[self.nxt], minlength=len(self.state))
 
 
 @dataclass
@@ -285,40 +310,42 @@ class Game:
         """Cached (s', p, r_d, r_a) tuples for action indices at a state."""
         return self._outcomes[s][di][ai]
 
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        """The kernel as rows (s, d, a, s', p, r_d, r_a), one column per
+        outcome of each joint action; built on the first marginalization."""
+        cols = itertools.chain.from_iterable(
+            (s, di, ai, *o)
+            for s, per_d in enumerate(self._outcomes)
+            for di, per_a in enumerate(per_d)
+            for ai, out in enumerate(per_a)
+            for o in out
+        )
+        return np.fromiter(cols, float).reshape(-1, 7).T.copy()
+
+    def marginalize(self, opponent, actor: str) -> Marginal:
+        """The kernel as seen by ``actor`` while ``opponent`` plays its mixture."""
+        s, di, ai, nxt = self._flat[:4].astype(int)
+        first_d, first_a = (np.cumsum([0, *map(len, x)]) for x in (self.actions_d, self.actions_a))
+        row_d, row_a = first_d[s] + di, first_a[s] + ai
+        first, row, opp_row = (first_d, row_d, row_a) if actor == "D" else (first_a, row_a, row_d)
+        prob = np.concatenate(opponent.table)[opp_row] * self._flat[4]
+        r = np.array([np.bincount(row, prob * pay, minlength=first[-1]) for pay in self._flat[5:]])
+        state = np.repeat(np.arange(self.n_states), np.diff(first))
+        return Marginal(first, state, r, row, nxt, prob)
+
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
         n = self.n_states
-        P = np.zeros((n, n))
-        for s in range(n):
-            pd, pa = pi.d.table[s], pi.a.table[s]
-            for di, wd in enumerate(pd):
-                if wd == 0.0:
-                    continue
-                for ai, wa in enumerate(pa):
-                    w = wd * wa
-                    if w == 0.0:
-                        continue
-                    for s2, prob, _, _ in self._outcomes[s][di][ai]:
-                        P[s, s2] += w * prob
-        return P
+        m = self.marginalize(pi.a, "D")
+        w = np.concatenate(pi.d.table)[m.row] * m.prob
+        return np.bincount(m.state[m.row] * n + m.nxt, w, minlength=n * n).reshape(n, n)
 
     def expected_rewards(self, pi) -> tuple[np.ndarray, np.ndarray]:
         """Per-state expected one-step payoffs under a policy pair."""
-        n = self.n_states
-        rd = np.zeros(n)
-        ra = np.zeros(n)
-        for s in range(n):
-            pd, pa = pi.d.table[s], pi.a.table[s]
-            for di, wd in enumerate(pd):
-                if wd == 0.0:
-                    continue
-                for ai, wa in enumerate(pa):
-                    w = wd * wa
-                    if w == 0.0:
-                        continue
-                    for _, prob, r_d, r_a in self._outcomes[s][di][ai]:
-                        rd[s] += w * prob * r_d
-                        ra[s] += w * prob * r_a
+        m = self.marginalize(pi.a, "D")
+        w = np.concatenate(pi.d.table)
+        rd, ra = (np.bincount(m.state, w * r, minlength=self.n_states) for r in m.r)
         return rd, ra
 
 

@@ -25,9 +25,10 @@ class Policy:
         if len(self.table) != game.n_states:
             raise ValueError("policy table length != state count")
         for s, vec in enumerate(self.table):
-            if len(vec) != len(sets[s]):
+            if np.ndim(vec) != 1 or len(vec) != len(sets[s]):
                 raise ValueError(f"state {s}: {len(vec)} probs for {len(sets[s])} actions")
-            if abs(float(vec.sum()) - 1.0) > atol or float(vec.min()) < floor - atol:
+            ok = np.isfinite(vec).all() and abs(float(vec.sum()) - 1.0) <= atol
+            if not ok or float(vec.min()) < floor - atol:
                 raise ValueError(f"state {s}: probabilities invalid: {vec}")
 
     def copy(self) -> Policy:
@@ -94,16 +95,20 @@ def project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return floor + np.maximum(w - theta, 0.0)
 
 
-def sample(policy: Policy, s: int, rng: np.random.Generator) -> int:
-    """Draw an action index at state ``s`` by inverse CDF on one uniform."""
-    p = policy.table[s]
-    u = rng.random()
+def pick(p: np.ndarray, u: float) -> int:
+    """Inverse-CDF action index for the uniform ``u``; the last action absorbs rounding."""
     acc = 0.0
-    for i, w in enumerate(p):
-        acc += w
+    last = len(p) - 1
+    for i in range(last):
+        acc += p[i]
         if u < acc:
             return i
-    return len(p) - 1
+    return last
+
+
+def sample(policy: Policy, s: int, rng: np.random.Generator) -> int:
+    """Draw an action index at state ``s`` by inverse CDF on one uniform."""
+    return pick(policy.table[s], rng.random())
 
 
 def policy_to_json(game: Game, policy: Policy) -> dict:
@@ -130,7 +135,13 @@ def policy_from_json(game: Game, data: dict) -> Policy:
         raise ValueError("policy file does not match the game's state count")
     table: list[np.ndarray] = [None] * game.n_states  # type: ignore[list-item]
     for item in entries:
+        if not isinstance(item, dict):
+            raise ValueError("policy file entries must be objects")
         s = item["state"]
+        if type(s) is not int or not 0 <= s < game.n_states:
+            raise ValueError(f"bad state index {s!r}")
+        if table[s] is not None:
+            raise ValueError(f"state {s} listed twice")
         want = [game.action_label(a) for a in sets[s]]
         if item["actions"] != want:
             raise ValueError(f"state {s}: action labels do not match the game")

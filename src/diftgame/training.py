@@ -24,7 +24,7 @@ import numpy as np
 
 from .env import Env
 from .game import Game
-from .policies import Policy, PolicyPair, project_simplex
+from .policies import Policy, PolicyPair, pick, project_simplex
 
 _BLOCK = 4096
 _MIN_STEP = 1e-15  # policy moves below this are treated as no update
@@ -48,8 +48,10 @@ class TrainConfig:
             raise ValueError("warmup must be >= 0")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.sgn_sharpness <= 0:
-            raise ValueError("sgn_sharpness must be positive")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.step_pre, self.step_post)):
+            raise ValueError("step_pre and step_post must be finite and >= 0")
+        if not (math.isfinite(self.sgn_sharpness) and self.sgn_sharpness > 0):
+            raise ValueError("sgn_sharpness must be finite and positive")
         if not 0.0 <= self.exploration_floor < 1.0:
             raise ValueError("exploration_floor must be in [0, 1)")
         if max_actions is not None and self.exploration_floor * max_actions >= 1.0:
@@ -164,16 +166,6 @@ def _uniform(st: TrainerState) -> float:
     return float(u)
 
 
-def _pick(p: np.ndarray, u: float) -> int:
-    acc = 0.0
-    last = len(p) - 1
-    for i in range(last):
-        acc += p[i]
-        if u < acc:
-            return i
-    return last
-
-
 def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     """Advance the shared trajectory by one joint action and update tables.
 
@@ -188,8 +180,8 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
 
     pi_d = st.pi.d.table
     pi_a = st.pi.a.table
-    di = _pick(pi_d[s], _uniform(st))
-    ai = _pick(pi_a[s], _uniform(st))
+    di = pick(pi_d[s], _uniform(st))
+    ai = pick(pi_a[s], _uniform(st))
     acts_d, acts_a = env.actions(s)
     s2, r_d, r_a = env.step(acts_d[di], acts_a[ai])
 

@@ -206,6 +206,15 @@ class TestTrain:
         rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_finite_params_exit_2(self, tmp_path, config, capsys):
+        cfg = json.loads(open(config).read())
+        cfg["params"] = {"defaults": 2, "scale": float("nan")}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_config_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -260,6 +269,27 @@ class TestCertifyCompare:
              "--policy-a", d_path, "--out", str(tmp_path / "c.json")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "state", [999, -1, "1", 1.0, True, None, "duplicate"]
+    )
+    def test_bad_state_index_exit_2(
+        self, tmp_path, config, uniform_pair_files, state, capsys
+    ):
+        d_path, a_path = uniform_pair_files
+        data = json.loads(open(d_path).read())
+        if state == "duplicate":
+            data["states"][1] = dict(data["states"][0])
+        else:
+            data["states"][1]["state"] = state
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(
+            ["certify", "--config", config, "--policy-d", str(bad),
+             "--policy-a", a_path, "--out", str(tmp_path / "c.json")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_compare_writes_three_rows(
         self, tmp_path, config, uniform_pair_files, capsys

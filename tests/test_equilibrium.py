@@ -213,25 +213,27 @@ class TestResiduals:
 
 
 def bilinear_residual_form(game, ev):
-    """Per-state joint-action matrices W with Delta = sum_s piD W piA.
+    """Per-state joint-action slack matrices, stacked (D payoff, A payoff).
 
-    This is the polynomial extension of the aggregate residual: both
-    players' slacks are written against the joint action before the
-    policies multiply in, with the evaluation pair frozen.  Probability
-    vectors are then treated as free coordinates.
+    W[s][k][b, c] is the slack of player k's evaluation equation at s under
+    the joint action (b, c), with the evaluation pair frozen, so that
+    Delta = sum_s piD (W[s][0] + W[s][1]) piA.  This is the polynomial
+    extension of the aggregate residual: probability vectors are then
+    treated as free coordinates.
     """
     W = {}
     for s in np.flatnonzero(game.reachable):
         nd = len(game.actions_d[s])
         na = len(game.actions_a[s])
-        m = np.zeros((nd, na))
+        m = np.zeros((2, nd, na))
         for b in range(nd):
             for c in range(na):
                 q_d = q_a = 0.0
                 for s2, p, r_d, r_a in game.outcomes(s, b, c):
                     q_d += p * (r_d + ev.v_d[s2])
                     q_a += p * (r_a + ev.v_a[s2])
-                m[b, c] = (ev.rho_d + ev.v_d[s] - q_d) + (ev.rho_a + ev.v_a[s] - q_a)
+                m[0, b, c] = ev.rho_d + ev.v_d[s] - q_d
+                m[1, b, c] = ev.rho_a + ev.v_a[s] - q_a
         W[int(s)] = m
     return W
 
@@ -245,7 +247,8 @@ class TestExactGradient:
 
         def delta_ext(p):
             return sum(
-                float(p.d.table[s] @ m @ p.a.table[s]) for s, m in W.items()
+                float(p.d.table[s] @ m.sum(axis=0) @ p.a.table[s])
+                for s, m in W.items()
             )
 
         h = 1e-5
@@ -270,9 +273,34 @@ class TestExactGradient:
         pair = random_pair(synth, 13)
         ev = evaluate_policy_pair(synth, pair)
         W = bilinear_residual_form(synth, ev)
-        total = sum(float(pair.d.table[s] @ m @ pair.a.table[s]) for s, m in W.items())
+        total = sum(
+            float(pair.d.table[s] @ m.sum(axis=0) @ pair.a.table[s])
+            for s, m in W.items()
+        )
         om = omega(synth, pair, ev)
         assert total == pytest.approx(delta(synth, pair, om), abs=1e-9)
+
+    def test_omega_and_gradient_match_enumeration_with_zero_rows(self, synth):
+        # deterministic rows at every other state put exact zeros in the
+        # opponent mixtures; every entry must still equal the joint-action
+        # sum over game.outcomes
+        pair = random_pair(synth, 14)
+        rng = np.random.default_rng(14)
+        for tab in (pair.d.table, pair.a.table):
+            for s in range(0, synth.n_states, 2):
+                tab[s] = np.eye(len(tab[s]))[rng.integers(len(tab[s]))]
+        ev = evaluate_policy_pair(synth, pair)
+        W = bilinear_residual_form(synth, ev)
+        om = omega(synth, pair, ev)
+        grads = exact_gradient(synth, pair, ev)
+        close = dict(rtol=0, atol=1e-9)
+        for s in range(synth.n_states):
+            p_d, p_a = pair.d.table[s], pair.a.table[s]
+            w_d, w_a = W.get(s, np.zeros((2, len(p_d), len(p_a))))
+            np.testing.assert_allclose(om["D"][s], w_d @ p_a, **close)
+            np.testing.assert_allclose(om["A"][s], p_d @ w_a, **close)
+            np.testing.assert_allclose(grads["D"][s], (w_d + w_a) @ p_a, **close)
+            np.testing.assert_allclose(grads["A"][s], p_d @ (w_d + w_a), **close)
 
 
 class TestBestResponse:

@@ -4,6 +4,9 @@ The numeric expectations were computed by hand from the transition and
 payoff rules on small fixtures and frozen here.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -276,6 +279,22 @@ class TestParams:
                 good.alpha_d, (5.0,), good.sigma_d,
                 good.alpha_a, good.beta_a, good.sigma_a, (0.0,),
             )
+
+    def test_non_finite_values_rejected(self):
+        good = RewardParams.defaults(1)
+        for field, bad in (
+            ("alpha_d", (math.nan,)),
+            ("alpha_d", (math.inf,)),
+            ("beta_a", (math.inf,)),
+            ("sigma_a", (-math.inf,)),
+            ("cost_d_per_stage", (-math.inf,)),
+            ("cost_overrides", {(1, 1): math.nan}),
+        ):
+            with pytest.raises(GameBuildError):
+                dataclasses.replace(good, **{field: bad})
+        for factor in (math.nan, math.inf):
+            with pytest.raises(GameBuildError):
+                good.scaled(factor)
 
     def test_length_mismatch_rejected(self):
         good = RewardParams.defaults(2)

@@ -129,6 +129,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             pol.validate(game)
 
+    @pytest.mark.parametrize(
+        "width, row", [(2, [np.nan, 1.0]), (1, [[0.5, 0.5]])], ids=["nan", "2-d"]
+    )
+    def test_malformed_row_rejected(self, game, width, row):
+        pol = uniform_policy(game, "A")
+        s = next(s for s in range(game.n_states) if len(game.actions_a[s]) == width)
+        pol.table[s] = np.array(row)
+        with pytest.raises(ValueError):
+            pol.validate(game)
+
     def test_floor_argument(self, game):
         pol = uniform_policy(game, "A")
         pol.validate(game, floor=1e-3)

@@ -51,6 +51,16 @@ class TestConfig:
             TrainConfig(iterations=0, exploration_floor=0.5).validate(max_actions=3)
         with pytest.raises(ValueError):
             TrainConfig(iterations=0, sgn_sharpness=0.0).validate()
+        for field, bad in (
+            ("step_pre", math.nan),
+            ("step_pre", -0.1),
+            ("step_post", math.inf),
+            ("step_post", -1.0),
+            ("sgn_sharpness", math.nan),
+            ("sgn_sharpness", math.inf),
+        ):
+            with pytest.raises(ValueError):
+                TrainConfig(iterations=0, **{field: bad}).validate()
 
 
 class TestSchedules:

@@ -59,47 +59,79 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _pair_keys(raw: dict, what: str) -> dict[tuple[int, int], float]:
+def _integer(value: object, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: object, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _pair_keys(raw: object, what: str) -> dict[tuple[int, int], float]:
     """Parse {"node,stage": value} override maps."""
     out = {}
-    for key, val in raw.items():
+    for key, val in _object(raw, what).items():
         try:
             node, stage = (int(x) for x in key.split(","))
         except ValueError as exc:
             raise ConfigError(f"{what} key {key!r} is not 'node,stage'") from exc
-        out[(node, stage)] = float(val)
+        out[(node, stage)] = _number(val, f"{what}[{key!r}]")
     return out
+
+
+def _items(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(spec: dict, key: str) -> tuple[float, ...]:
+    return tuple(_number(x, f"params.{key} entry") for x in _items(spec[key], f"params.{key}"))
 
 
 def _params_from_config(cfg: dict, stages: int) -> RewardParams:
     spec = cfg.get("params")
     if spec is None:
         return RewardParams.defaults(stages)
+    spec = _object(spec, "params")
     if "defaults" in spec:
-        base = RewardParams.defaults(int(spec["defaults"]))
-        scale = float(spec.get("scale", 1.0))
+        base = RewardParams.defaults(_integer(spec["defaults"], "params.defaults"))
+        scale = _number(spec.get("scale", 1.0), "params.scale")
         return base.scaled(scale) if scale != 1.0 else base
+    strict = spec.get("strict_table", True)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"params.strict_table must be true or false, got {strict!r}")
     try:
         return RewardParams(
-            alpha_d=tuple(spec["alpha_d"]),
-            beta_d=tuple(spec["beta_d"]),
-            sigma_d=tuple(spec["sigma_d"]),
-            alpha_a=tuple(spec["alpha_a"]),
-            beta_a=tuple(spec["beta_a"]),
-            sigma_a=tuple(spec["sigma_a"]),
-            cost_d_per_stage=tuple(spec["cost_d_per_stage"]),
-            cost_overrides=_pair_keys(spec.get("cost_overrides", {}), "cost override"),
-            strict_table=bool(spec.get("strict_table", True)),
+            alpha_d=_numbers(spec, "alpha_d"),
+            beta_d=_numbers(spec, "beta_d"),
+            sigma_d=_numbers(spec, "sigma_d"),
+            alpha_a=_numbers(spec, "alpha_a"),
+            beta_a=_numbers(spec, "beta_a"),
+            sigma_a=_numbers(spec, "sigma_a"),
+            cost_d_per_stage=_numbers(spec, "cost_d_per_stage"),
+            cost_overrides=_pair_keys(spec.get("cost_overrides", {}), "params.cost_overrides"),
+            strict_table=strict,
         )
     except KeyError as exc:
         raise ConfigError(f"params missing field {exc}") from exc
 
 
 def _fn_from_config(cfg: dict) -> FnRates:
-    spec = cfg.get("fn", {})
+    spec = _object(cfg.get("fn", {}), "fn")
     return FnRates(
-        default=float(spec.get("default", 0.2)),
-        overrides=_pair_keys(spec.get("overrides", {}), "fn override"),
+        default=_number(spec.get("default", 0.2), "fn.default"),
+        overrides=_pair_keys(spec.get("overrides", {}), "fn.overrides"),
     )
 
 
@@ -108,17 +140,27 @@ def _ifg_from_config(cfg: dict) -> Ifg:
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'graph' object")
     if "file" in spec:
-        return to_ifg(collapse_multi_edges(load_graph(spec["file"])))
+        path = spec["file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"graph.file must be a path string, got {path!r}")
+        return to_ifg(collapse_multi_edges(load_graph(path)))
     if "synthetic" in spec:
-        syn = spec["synthetic"]
+        syn = _object(spec["synthetic"], "graph.synthetic")
+
+        def whole(key: str) -> int:
+            return _integer(syn[key], f"graph.synthetic.{key}")
+
         try:
+            dests = _items(syn["dests_per_stage"], "graph.synthetic.dests_per_stage")
             return generate_synthetic(
-                n_nodes=int(syn["n_nodes"]),
-                stages=int(syn["stages"]),
-                n_entries=int(syn["n_entries"]),
-                dests_per_stage=tuple(int(x) for x in syn["dests_per_stage"]),
-                edge_density=float(syn["edge_density"]),
-                seed=int(syn["seed"]),
+                n_nodes=whole("n_nodes"),
+                stages=whole("stages"),
+                n_entries=whole("n_entries"),
+                dests_per_stage=tuple(
+                    _integer(x, "graph.synthetic.dests_per_stage entry") for x in dests
+                ),
+                edge_density=_number(syn["edge_density"], "graph.synthetic.edge_density"),
+                seed=whole("seed"),
             )
         except KeyError as exc:
             raise ConfigError(f"synthetic graph spec missing {exc}") from exc
@@ -131,22 +173,25 @@ def _game_from_config(cfg: dict) -> Game:
     return build_game(ifg, params, _fn_from_config(cfg))
 
 
+_TRAIN_INTEGERS = ("iterations", "warmup", "seed", "stride")
+_TRAIN_NUMBERS = ("step_pre", "step_post", "sgn_sharpness", "exploration_floor")
+
+
 def _train_config(cfg: dict, args: argparse.Namespace) -> TrainConfig:
-    spec = dict(cfg.get("train", {}))
+    spec = dict(_object(cfg.get("train", {}), "train"))
     if getattr(args, "seed", None) is not None:
         spec["seed"] = args.seed
     if getattr(args, "iters", None) is not None:
         spec["iterations"] = args.iters
     if "iterations" not in spec:
         raise ConfigError("train.iterations is required (or pass --iters)")
-    known = {
-        "iterations", "warmup", "step_pre", "step_post", "sgn_sharpness",
-        "exploration_floor", "seed", "stride",
-    }
-    unknown = set(spec) - known
+    unknown = set(spec) - {*_TRAIN_INTEGERS, *_TRAIN_NUMBERS}
     if unknown:
         raise ConfigError(f"unknown train options: {sorted(unknown)}")
-    return TrainConfig(**{k: v for k, v in spec.items()})
+    for key, val in spec.items():
+        check = _integer if key in _TRAIN_INTEGERS else _number
+        check(val, f"train.{key}")
+    return TrainConfig(**spec)
 
 
 def cmd_gen_graph(args: argparse.Namespace) -> int:
@@ -255,7 +300,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     game = _game_from_config(cfg)
     pair = _load_pair(game, args)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 0.5))
+    tol = args.tol if args.tol is not None else _number(cfg.get("tol", 0.5), "tol")
     cert = certify_arne(game, pair, tol)
     out = args.out or "certificate.json"
     cert.save(out)

@@ -87,9 +87,6 @@ class Ifg:
     def stages(self) -> int:
         return len(self.destinations)
 
-    def out_neighbors(self, u: int) -> list[int]:
-        return sorted(v for (a, v) in self.edges if a == u)
-
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for u, v in sorted(self.edges):
@@ -362,10 +359,16 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     each cycle-closing edge to a new version of its target.  A fresh version
     starts with no out-edges, so pass 1 alone can lose transitive
     dependencies (in a 3-cycle the tail can no longer reach the middle).
-    Pass 2 therefore re-checks every reachable pair of the input and, for
-    each missing one, replays a shortest input path, growing version copies
-    only where no suitable out-edge exists yet.  New edges always point at
-    brand-new nodes, so acyclicity is preserved by construction.
+    Pass 2 therefore repairs, smallest first, every reachable pair of the
+    input that no version pair realizes: it replays a shortest input path,
+    following an existing out-edge where one leads to the next node's
+    versions and growing a chain of fresh versions from the first node where
+    none does.  New edges always point at brand-new nodes, so acyclicity is
+    preserved by construction.  Which roots each root's versions reach is
+    computed once after pass 1 (descendant bitsets, folded in reverse
+    topological order) and then updated per repair: the chain's start and
+    its ancestors gain the chain's roots, and each chain node's root gains
+    those of the nodes after it.
 
     Entries and destination sets are extended with the versions of their
     members: a version copy stands for the same system entity.
@@ -420,37 +423,54 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
         out[u].add(new_version(v))
 
     # Pass 2: restore reachable pairs the redirects may have broken.
-    want = _closure_pairs(adj)
-    for _ in range(len(want) + 1):
-        cur_adj = {u: sorted(vs) for u, vs in out.items()}
-        have = _closure_pairs(cur_adj)
-        versions_of: dict[int, list[int]] = {}
-        for n in nodes:
-            versions_of.setdefault(root_of(n.id), []).append(n.id)
-        missing = sorted(
-            (x, y)
-            for (x, y) in want
-            if not any(
-                (xi, yj) in have
-                for xi in versions_of[x]
-                for yj in versions_of[y]
-            )
-        )
-        if not missing:
-            break
-        x, y = missing[0]
+    # reach[r] is a bitset of the roots some version of root r reaches.
+    preds: dict[int, list[int]] = {u: [] for u in out}
+    for u, vs in out.items():
+        for v in vs:
+            preds[v].append(u)
+    indeg = {u: len(ps) for u, ps in preds.items()}
+    topo = [u for u, d in indeg.items() if d == 0]
+    for u in topo:  # Kahn's queue: the list grows while it is walked
+        for v in out[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                topo.append(v)
+    below: dict[int, int] = {}
+    reach = dict.fromkeys(adj, 0)
+    for u in reversed(topo):
+        bits = 0
+        for v in out[u]:
+            bits |= below[v] | 1 << root_of(v)
+        below[u] = bits
+        reach[root_of(u)] |= bits
+
+    # Repairs only add reachability, so the smallest missing pair is always
+    # the next one in sorted order that is still missing.
+    for x, y in sorted(_closure_pairs(adj)):
+        if reach[x] >> y & 1:
+            continue
         path = _shortest_path(adj, x, y)
         cur = x
-        for p, q in zip(path, path[1:]):
+        chain: list[int] = []
+        for q in path[1:]:
             cand = [w for w in out[cur] if root_of(w) == q]
             if cand:
                 cur = max(cand)
             else:
                 nxt = new_version(q)
                 out[cur].add(nxt)
+                preds[nxt] = [cur]
+                chain.append(nxt)
                 cur = nxt
-    else:
-        raise InfeasibleGraphError("cycle removal failed to converge")
+        gained = 0
+        for n in reversed(chain):
+            reach[root_of(n)] |= gained
+            gained |= 1 << root_of(n)
+        if chain:  # the chain's start and all its ancestors gain the chain
+            for u in _reach_from(preds, set(preds[chain[0]])):
+                reach[root_of(u)] |= gained
+        if not reach[x] >> y & 1:
+            raise InfeasibleGraphError(f"cycle removal failed to restore {x} -> {y}")
 
     edges = sorted((u, v) for u, vs in out.items() for v in vs)
     entries = {n.id for n in nodes if root_of(n.id) in g.entries}

@@ -215,6 +215,58 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("train", "iterations"), 20.0),
+            (("train", "warmup"), "500"),
+            (("train", "seed"), 1.5),
+            (("train", "stride"), 2.5),
+            (("train", "seed"), True),
+            (("train", "step_pre"), "0.5"),
+            (("train", "sgn_sharpness"), None),
+            (("fn", "default"), None),
+            (("fn", "default"), "0.3"),
+            (("fn", "overrides"), {"3,1": "0.5"}),
+            (("fn", "overrides"), [0.5]),
+            (("params", "defaults"), 2.0),
+            (("params", "scale"), "2"),
+            (("params", "alpha_d"), ["40", 80.0]),
+            (("params", "cost_d_per_stage"), -1.0),
+            (("params", "strict_table"), "no"),
+            (("params",), [2]),
+            (("train",), [3000]),
+            (("fn",), 0.2),
+            (("graph", "synthetic", "n_nodes"), None),
+            (("graph", "synthetic", "n_nodes"), 8.5),
+            (("graph", "synthetic", "edge_density"), "0.3"),
+            (("graph", "synthetic", "dests_per_stage"), [1.0, 1]),
+            (("graph", "synthetic"), [8, 2]),
+            (("graph", "file"), None),
+        ],
+    )
+    def test_wrong_typed_value_exit_2(self, tmp_path, config, capsys, path, value):
+        cfg = json.loads(open(config).read())
+        if path[0] == "params" and path[-1] not in ("params", "defaults", "scale"):
+            p = RewardParams.defaults(2)
+            cfg["params"] = {
+                f: list(getattr(p, f))
+                for f in ("alpha_d", "beta_d", "sigma_d", "alpha_a", "beta_a",
+                          "sigma_a", "cost_d_per_stage")
+            }
+        elif path[0] == "params":
+            cfg["params"] = {"defaults": 2}
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert path[-1] in err
+
     def test_malformed_config_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -247,6 +299,19 @@ class TestCertifyCompare:
             cert = json.load(fh)
         assert cert["verdict"] is False
         assert cert["tol"] == 0.5
+
+    def test_wrong_typed_tol_exit_2(self, tmp_path, config, uniform_pair_files, capsys):
+        cfg = json.loads(open(config).read())
+        cfg["tol"] = None
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(cfg))
+        d_path, a_path = uniform_pair_files
+        rc = main(
+            ["certify", "--config", str(path), "--policy-d", d_path,
+             "--policy-a", a_path, "--out", str(tmp_path / "cert.json")]
+        )
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
 
     def test_trained_pair_beats_uniform_gaps(self, tmp_path, config, capsys):
         # quick sanity loop: train, then certify the dumped pair at a loose

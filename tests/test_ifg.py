@@ -4,6 +4,7 @@ Expected values in this file were worked out by hand on paper-sized examples
 or cross-checked with the brute-force helpers at the bottom, then frozen.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -296,6 +297,22 @@ class TestVersioning:
         assert len(out.nodes) <= 6
         check_path_preservation(g, out)
 
+    def test_pairs_realized_inside_a_repair_chain(self):
+        # One repair grows n2 -> n2#1 -> n3#1 -> n4#2 -> n0#2, after which
+        # n3 reaches n4 and n0 through its copy n3#1 as well; forgetting
+        # that makes pass 2 grow a fourteenth node for a pair it already has.
+        g = raw(5, [(0, 4), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 0), (4, 2)])
+        out = remove_cycles_by_versioning(g)
+        assert [(n.label, n.origin) for n in out.nodes[5:]] == [
+            ("n0#1", 0), ("n2#1", 2), ("n2#2", 2), ("n4#1", 4),
+            ("n3#1", 3), ("n4#2", 4), ("n0#2", 0), ("n1#1", 1),
+        ]
+        assert sorted(out.edges) == [
+            (0, 4), (1, 6), (2, 1), (2, 3), (3, 7), (3, 8), (4, 2), (4, 5),
+            (6, 9), (7, 12), (9, 10), (10, 11),
+        ]
+        check_path_preservation(g, out)
+
     def test_roles_extend_to_version_copies(self):
         g = raw(2, [(0, 1), (1, 0)], entries=[1], destinations=[[0]])
         out = remove_cycles_by_versioning(g)
@@ -318,6 +335,76 @@ class TestVersioning:
             assert assert_acyclic(out)
             check_path_preservation(g, out)
 
+
+
+def golden_input(seed):
+    """Criterion-8-style raw multigraph of 15-26 nodes (spine plus n..3n
+    random edges, so parallel edges and cycles occur), collapsed and pruned;
+    odd seeds also merge the /var/log/ file nodes into one."""
+    rng = np.random.default_rng([2026, seed])
+    n = int(rng.integers(15, 27))
+    kinds = ["process", "file", "socket"]
+    spine = [int(x) for x in rng.permutation(n)[: max(3, n // 2)]]
+    entry, mid, last = spine[0], spine[len(spine) // 2], spine[-1]
+    nodes = []
+    for i in range(n):
+        kind = kinds[i % 3]
+        in_dir = kind == "file" and i not in (entry, mid, last)
+        nodes.append(IfgNode(i, kind, f"/var/log/{i}.log" if in_dir else f"{kind}{i}"))
+    edges = list(zip(spine, spine[1:]))
+    for _ in range(int(rng.integers(n, 3 * n))):
+        edges.append((int(rng.integers(n)), int(rng.integers(n))))
+    edges = [(u, v) for u, v in edges if u != v]
+    g = collapse_multi_edges(RawLogGraph(nodes, edges, {entry}, [{mid}, {last}]))
+    g = prune_attack_subgraph(g, g.entries, g.destinations)
+    if seed % 2:
+        g = merge_directory_nodes(g, {"/var/log/": "/var/log/*"})
+    return g
+
+
+def graph_digest(g):
+    doc = [
+        [[n.id, n.kind, n.label, n.origin] for n in g.nodes],
+        sorted(g.edges),
+        sorted(g.entries),
+        [sorted(d) for d in g.destinations],
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# sha256 of remove_cycles_by_versioning(golden_input(seed)) for seeds 0..19.
+# Faster versioning must reproduce them byte for byte; any change to node
+# numbering, labels, origins, edges or roles shows up here and has to be
+# made on purpose.
+GOLDEN_VERSIONING = [
+    "c43fa198a1967fcacc7eb91a1234511e60e415375854e81d4ba0b9597c9c9428",
+    "21d7cdf48aa7886738ff562f3ed6fa6febd54bc63d6c421fe476107962db6521",
+    "f76e392439ad3db88a1e359bebe1f421e64adf0c7f42a1ff8f19106de9979748",
+    "4e3fcd850257d24d7d7fd4f5a377652955b48c43f7e7d8ecded05d9484ef0403",
+    "056c878695ed7d2eca4ecbd6453be555d41767ebd7ac6a4f85ce62bf74847d5e",
+    "2304eca092412723072e9305b81625a61ca9db65566da6fd4113d35de7f5605e",
+    "cd85328b71c7e4f25d25ca2cd3b1eb4b63420c8bd7ec9b5c5839046bd0a26b40",
+    "bccffac2dd0f337f52e57d0dc74360210016081d608c7f7130f0cec9a4e394ab",
+    "e9541b3e970aef30d47bb7a0c9b99c7c77cfce5f16482193859bd739a9d22586",
+    "2884e3066ad4caa6f208403a5445da6411601a97469a79a26777971611b8259b",
+    "eba7171ac57dd41f4b9b79e1344d05291758e62e7b1f0391e711285148be3667",
+    "85d1f6775e1237c61dc1c47c17e291eca3d06218be73656db5d7598cfa0254d0",
+    "bac6359c323294e3cde205c85f6ce841bfc8d63ce9c9b7d0a6c348e29db49472",
+    "02de83c58f2f32a2d2eca7b04b072573cfd487ba1cb6076a9eb0c7c56aaa9c6f",
+    "cc7dfb50dff931d10f7d3a974da1777b316cd7aa2bb0e5c11e0acc3561c04e7e",
+    "7cb284043d452a8df4c81d84ca5fb20cec9866351065b79440a349598f0ed917",
+    "a0ee029543748356e2a33035a03e45f1c74d2a7169d019e66cd244cfff9cf5b5",
+    "7c51519536b08faee39f228f3f28b17bac430dd30e51ad9340fb5bebd03825ca",
+    "8f96c6334a03f7a8c1a743e9a47b5a26735ee68c577c24809b6568cbbe032234",
+    "49b37a556c3486e40ff0f5750e8bebc155beb6a36b807c0db838fd1491704e59",
+]
+
+
+class TestVersioningGolden:
+    @pytest.mark.parametrize("seed", range(len(GOLDEN_VERSIONING)))
+    def test_output_bytes_unchanged(self, seed):
+        out = remove_cycles_by_versioning(golden_input(seed))
+        assert graph_digest(out) == GOLDEN_VERSIONING[seed]
 
 class TestToIfg:
     def test_dense_reindex_after_prune(self):

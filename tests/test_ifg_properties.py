@@ -1,0 +1,76 @@
+"""Property tests for the prune and versioning pipeline on random multigraphs.
+
+Reachability is checked against ``networkx.transitive_closure``, an oracle
+written independently of the package (networkx is a test-only dependency).
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+nx = pytest.importorskip("networkx")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from diftgame.ifg import (  # noqa: E402
+    IfgNode,
+    RawLogGraph,
+    collapse_multi_edges,
+    merge_directory_nodes,
+    prune_attack_subgraph,
+    remove_cycles_by_versioning,
+    to_ifg,
+)
+
+KINDS = ("process", "file", "socket")
+
+
+@st.composite
+def raw_multigraphs(draw):
+    """Entry-to-target spine plus arbitrary extra edges: parallel edges,
+    self-loops and cycles all occur.  File nodes off the spine's ends live
+    under /m/ so an optional merge can fold them into one node."""
+    n = draw(st.integers(3, 14))
+    order = draw(st.permutations(range(n)))
+    spine = order[: draw(st.integers(3, n))]
+    entry, target = spine[0], spine[-1]
+    nodes = [
+        IfgNode(i, KINDS[i % 3], f"/m/{i}" if i % 3 == 1 and i not in (entry, target) else f"x{i}")
+        for i in range(n)
+    ]
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges = list(zip(spine, spine[1:])) + extra
+    return RawLogGraph(nodes, edges, {entry}, [{target}]), draw(st.booleans())
+
+
+def closure(node_ids, edges, root=lambda u: u):
+    """Reachable (root(u), root(v)) pairs with distinct roots."""
+    g = nx.DiGraph()
+    g.add_nodes_from(node_ids)
+    g.add_edges_from(edges)
+    tc = nx.transitive_closure(g, reflexive=False)
+    return {(root(u), root(v)) for u, v in tc.edges if root(u) != root(v)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_multigraphs())
+def test_pipeline_acyclic_and_reachability_preserved(case):
+    raw, merge = case
+    g = collapse_multi_edges(raw)
+    g = prune_attack_subgraph(g, g.entries, g.destinations)
+    if merge:
+        g = merge_directory_nodes(g, {"/m/": "/m"})
+    versioned = remove_cycles_by_versioning(g)
+
+    origin = {n.id: n.origin if n.origin is not None else n.id for n in versioned.nodes}
+    assert set(origin.values()) == {n.id for n in g.nodes}
+    assert all(u != v for u, v in versioned.edges)
+    assert nx.is_directed_acyclic_graph(nx.DiGraph(versioned.edges))
+    assert closure(origin, versioned.edges, origin.get) == closure(
+        [n.id for n in g.nodes], g.edges
+    )
+
+    ifg = to_ifg(prune_attack_subgraph(versioned, versioned.entries, versioned.destinations))
+    dag = nx.DiGraph()
+    dag.add_nodes_from(range(ifg.n_nodes))
+    dag.add_edges_from(ifg.edges)
+    assert nx.is_directed_acyclic_graph(dag)

@@ -12,11 +12,23 @@ steps is a pure function of (seed, n) and reruns are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
+
 import numpy as np
 
 from .game import AtkAction, DefAction, Game, InvalidActionError, ROOT
 
 _BLOCK = 8192
+
+
+def uniforms(key: list[int]) -> Iterator[float]:
+    """Uniform draws from the Philox stream with the given key, fetched in
+    blocks.  Philox output does not depend on how it is chunked, so the
+    k-th draw is a pure function of (key, k)."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    while True:
+        yield from rng.random(_BLOCK).tolist()
 
 
 class Env:
@@ -28,7 +40,19 @@ class Env:
         self._actions_a = game.actions_a
         self._index_d = [{a: i for i, a in enumerate(acts)} for acts in game.actions_d]
         self._index_a = [{a: i for i, a in enumerate(acts)} for acts in game.actions_a]
-        self._outcomes = game._outcomes
+        # The kernel as plain Python values (the step loops need floats, not
+        # numpy scalars): a tuple of (s', p, r_d, r_a) outcomes per joint
+        # action, indexed [s][di][ai].  Equal tuples are stored once; most
+        # joint actions share their outcomes with others at the same state.
+        k = game.kernel
+        shared: dict = {}
+        rows = [shared.setdefault(r, r) for r in zip(k.nxt.tolist(), k.p.tolist(), *k.r.tolist())]
+        joint = (tuple(rows[i:j]) for i, j in itertools.pairwise(k.first.tolist()))
+        outs = (shared.setdefault(o, o) for o in joint)
+        self._outs = [
+            [list(itertools.islice(outs, len(acts_a))) for _ in acts_d]
+            for acts_d, acts_a in zip(game.actions_d, game.actions_a)
+        ]
         self.n_states = game.n_states
         self.seed = seed
         self.current = ROOT
@@ -37,9 +61,7 @@ class Env:
 
     def reset(self) -> int:
         """Restart at the root state and rewind the random stream."""
-        self._rng = np.random.Generator(np.random.Philox(key=[self.seed, 0]))
-        self._buf = np.empty(0)
-        self._pos = 0
+        self._uniforms = uniforms([self.seed, 0])
         self.current = ROOT
         self.step_count = 0
         return self.current
@@ -47,14 +69,6 @@ class Env:
     def actions(self, s: int) -> tuple[tuple[DefAction, ...], tuple[AtkAction, ...]]:
         """Action sets (defender, intruder) available at a state."""
         return self._actions_d[s], self._actions_a[s]
-
-    def _uniform(self) -> float:
-        if self._pos >= self._buf.size:
-            self._buf = self._rng.random(_BLOCK)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return float(u)
 
     def step(self, d: DefAction, a: AtkAction) -> tuple[int, float, float]:
         """Play one joint action; returns (next state, defender pay, intruder pay)."""
@@ -66,8 +80,8 @@ class Env:
             raise InvalidActionError(
                 f"action pair ({d}, {a}) unavailable at state {s}"
             ) from None
-        out = self._outcomes[s][di][ai]
-        u = self._uniform()
+        out = self._outs[s][di][ai]
+        u = next(self._uniforms)
         if len(out) == 1 or u < out[0][1]:
             s2, _, r_d, r_a = out[0]
         else:
@@ -94,15 +108,12 @@ def rollout_average(
     arng = np.random.Generator(np.random.Philox(key=[action_seed, 1]))
     cum_d = [np.cumsum(v).tolist() for v in pi.d.table]
     cum_a = [np.cumsum(v).tolist() for v in pi.a.table]
-    outcomes = env._outcomes
+    outs = env._outs
     total_d = 0.0
     total_a = 0.0
     au = arng.random(2 * steps).tolist()
-    # Consume the transition stream exactly the way Env.step does: same
-    # block size, same order, so the env stays replayable afterwards.
-    tbl = env._buf.tolist()
-    tpos = env._pos
-    trng = env._rng
+    # Continue the env's transition stream, so the env stays replayable.
+    draws = env._uniforms
     s = env.current
     for k in range(steps):
         cd = cum_d[s]
@@ -115,20 +126,14 @@ def rollout_average(
         ai = bisect_right(ca, au[2 * k + 1] * ca[last])
         if ai > last:
             ai = last
-        out = outcomes[s][di][ai]
-        if tpos >= len(tbl):
-            tbl = trng.random(_BLOCK).tolist()
-            tpos = 0
-        u = tbl[tpos]
-        tpos += 1
+        out = outs[s][di][ai]
+        u = next(draws)
         if len(out) == 1 or u < out[0][1]:
             s, _, r_d, r_a = out[0]
         else:
             s, _, r_d, r_a = out[1]
         total_d += r_d
         total_a += r_a
-    env._buf = np.asarray(tbl)
-    env._pos = tpos
     env.current = s
     env.step_count += steps
     return total_d / steps, total_a / steps

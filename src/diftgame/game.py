@@ -13,7 +13,6 @@ recurrent walk and long-run average rewards are well defined.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -161,7 +160,20 @@ class FnRates:
             raise GameBuildError("false-negative rates must lie in [0, 1)")
 
 
-Outcome = tuple[tuple[int, float, float, float], ...]  # (s', p, r_d, r_a)
+class Kernel(NamedTuple):
+    """Every outcome of every joint action, one array entry per outcome,
+    ordered by (state, defender action, intruder action).  Joint action
+    (di, ai) at state s is number j = joint[s] + di * len(actions_a[s]) + ai;
+    its outcomes are entries first[j] to first[j + 1] - 1."""
+
+    s: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    nxt: np.ndarray
+    p: np.ndarray
+    r: np.ndarray  # payoffs of D (row 0) and A (row 1)
+    joint: np.ndarray  # per state, plus the joint-action count
+    first: np.ndarray  # per joint action, plus the entry count
 
 
 class Marginal(NamedTuple):
@@ -200,8 +212,7 @@ class Game:
     actions_d: list[tuple[DefAction, ...]]
     actions_a: list[tuple[AtkAction, ...]]
     reachable: np.ndarray  # reachable from the root in the game graph
-
-    _outcomes: list[list[list[Outcome]]] = field(repr=False, default_factory=list)
+    kernel: Kernel = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
     def n_states(self) -> int:
@@ -253,86 +264,63 @@ class Game:
         if a not in self.actions_a[s]:
             raise InvalidActionError(f"intruder action {a} unavailable at {self.state_label(s)}")
 
+    def _rule(self, s: int, d: DefAction, a: AtkAction) -> list[tuple[int, float, float, float]]:
+        """(s', p, r_d, r_a) for each outcome of an available joint action."""
+        j = int(self.stage_of[s]) - 1
+        p = self.params
+        cost = float(self.cost_d[s])
+        inspects = d.kind == "inspect"
+        if a.kind == "quit":
+            return [(ROOT, 1.0, p.sigma_d[j] + (cost if inspects else 0.0), p.sigma_a[j])]
+        t = a.target
+        # payoffs when the flow arrives at t uncaught
+        hit = bool(self.is_dest[t]) and int(self.stage_of[t]) == j + 1
+        if hit and (not inspects or not p.strict_table):
+            arrive = (p.beta_d[j], p.beta_a[j])
+        else:
+            arrive = (cost if inspects and d.target != t else 0.0, p.beta_a[j] if hit else 0.0)
+        if not inspects or d.target != t:
+            return [(t, 1.0, *arrive)]
+        miss = float(self.fn[t])
+        caught = (ROOT, 1.0 - miss, p.alpha_d[j] + cost, p.alpha_a[j])
+        return [caught] if miss == 0.0 else [(t, miss, *arrive), caught]
+
     def transition_dist(self, s: int, d: DefAction, a: AtkAction) -> list[tuple[int, float]]:
         """Support of the next-state distribution as (state, probability) pairs."""
         self._require(s, d, a)
-        if a.kind == "quit":
-            return [(ROOT, 1.0)]
-        t = a.target
-        if d.kind == "inspect" and d.target == t:
-            miss = float(self.fn[t])
-            if miss == 0.0:
-                return [(ROOT, 1.0)]
-            return [(t, miss), (ROOT, 1.0 - miss)]
-        return [(t, 1.0)]
+        return [(s2, p) for s2, p, _, _ in self._rule(s, d, a)]
 
     def reward(self, s: int, d: DefAction, a: AtkAction, s_next: int) -> tuple[float, float]:
         """One-step payoffs (defender, intruder) for a realized transition."""
         self._require(s, d, a)
-        if s_next not in {sp for sp, _ in self.transition_dist(s, d, a)}:
-            raise InvalidActionError(
-                f"state {self.state_label(s_next)} not reachable from "
-                f"{self.state_label(s)} under ({d}, {a})"
-            )
-        j = int(self.stage_of[s]) - 1
-        p = self.params
-        caught = (
-            d.kind == "inspect"
-            and a.kind == "move"
-            and d.target == a.target
-            and s_next == ROOT
+        for s2, _, r_d, r_a in self._rule(s, d, a):
+            if s2 == s_next:
+                return r_d, r_a
+        raise InvalidActionError(
+            f"state {self.state_label(s_next)} not reachable from "
+            f"{self.state_label(s)} under ({d}, {a})"
         )
-        hit_target = bool(self.is_dest[s_next]) and int(self.stage_of[s_next]) == j + 1
 
-        if caught:
-            r_a = p.alpha_a[j]
-        elif hit_target:
-            r_a = p.beta_a[j]
-        elif a.kind == "quit":
-            r_a = p.sigma_a[j]
-        else:
-            r_a = 0.0
-
-        cost = float(self.cost_d[s])
-        if caught:
-            r_d = p.alpha_d[j] + cost
-        elif hit_target and (d.kind == "none" or not p.strict_table):
-            r_d = p.beta_d[j]
-        elif a.kind == "quit":
-            r_d = p.sigma_d[j] + (cost if d.kind == "inspect" else 0.0)
-        elif d.kind == "inspect" and d.target != a.target:
-            r_d = cost
-        else:
-            r_d = 0.0
-        return r_d, r_a
-
-    def outcomes(self, s: int, di: int, ai: int) -> Outcome:
-        """Cached (s', p, r_d, r_a) tuples for action indices at a state."""
-        return self._outcomes[s][di][ai]
-
-    @functools.cached_property
-    def _flat(self) -> np.ndarray:
-        """The kernel as rows (s, d, a, s', p, r_d, r_a), one column per
-        outcome of each joint action; built on the first marginalization."""
-        cols = itertools.chain.from_iterable(
-            (s, di, ai, *o)
-            for s, per_d in enumerate(self._outcomes)
-            for di, per_a in enumerate(per_d)
-            for ai, out in enumerate(per_a)
-            for o in out
-        )
-        return np.fromiter(cols, float).reshape(-1, 7).T.copy()
+    def outcomes(self, s: int, di: int, ai: int) -> tuple[tuple[int, float, float, float], ...]:
+        """(s', p, r_d, r_a) of each outcome of the action indices (di, ai) at s."""
+        n_a = len(self.actions_a[s])
+        if not (0 <= di < len(self.actions_d[s]) and 0 <= ai < n_a):
+            raise InvalidActionError(f"no joint action ({di}, {ai}) at {self.state_label(s)}")
+        k = self.kernel
+        j = k.joint[s] + di * n_a + ai
+        e = slice(k.first[j], k.first[j + 1])
+        return tuple(zip(k.nxt[e].tolist(), k.p[e].tolist(), *k.r[:, e].tolist()))
 
     def marginalize(self, opponent, actor: str) -> Marginal:
         """The kernel as seen by ``actor`` while ``opponent`` plays its mixture."""
-        s, di, ai, nxt = self._flat[:4].astype(int)
+        k = self.kernel
         first_d, first_a = (np.cumsum([0, *map(len, x)]) for x in (self.actions_d, self.actions_a))
-        row_d, row_a = first_d[s] + di, first_a[s] + ai
+        row_d, row_a = first_d[k.s] + k.d, first_a[k.s] + k.a
         first, row, opp_row = (first_d, row_d, row_a) if actor == "D" else (first_a, row_a, row_d)
-        prob = np.concatenate(opponent.table)[opp_row] * self._flat[4]
-        r = np.array([np.bincount(row, prob * pay, minlength=first[-1]) for pay in self._flat[5:]])
+        prob = np.concatenate(opponent.table)[opp_row] * k.p
+        r = np.array([np.bincount(row, prob * pay, minlength=first[-1]) for pay in k.r])
         state = np.repeat(np.arange(self.n_states), np.diff(first))
-        return Marginal(first, state, r, row, nxt, prob)
+        return Marginal(first, state, r, row, k.nxt, prob)
 
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
@@ -424,30 +412,31 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
         reachable=np.zeros(n, dtype=bool),
     )
 
-    outcomes: list[list[list[Outcome]]] = []
-    for s in range(n):
-        per_d: list[list[Outcome]] = []
-        for d in game.actions_d[s]:
-            per_a: list[Outcome] = []
-            for a in game.actions_a[s]:
-                dist = game.transition_dist(s, d, a)
-                per_a.append(
-                    tuple((s2, p, *game.reward(s, d, a, s2)) for s2, p in dist)
-                )
-            per_d.append(per_a)
-        outcomes.append(per_d)
-    game._outcomes = outcomes
+    entries = (
+        (s, di, ai, *o)
+        for s in range(n)
+        for di, d in enumerate(actions_d[s])
+        for ai, a in enumerate(actions_a[s])
+        for o in game._rule(s, d, a)
+    )
+    cols = np.fromiter(itertools.chain.from_iterable(entries), float).reshape(-1, 7).T
+    s_col, d_col, a_col, nxt_col = cols[:4].astype(int)
+    n_d, n_a = (np.array([len(x) for x in acts]) for acts in (actions_d, actions_a))
+    joint = np.cumsum([0, *(n_d * n_a)])
+    # entries are sorted by joint-action number, and every joint action has one
+    first = np.searchsorted(joint[s_col] + d_col * n_a[s_col] + a_col, np.arange(joint[-1] + 1))
+    game.kernel = Kernel(s_col, d_col, a_col, nxt_col, cols[4].copy(), cols[5:].copy(), joint, first)
 
+    nexts: list[list[int]] = [[] for _ in range(n)]
+    for s, s2 in zip(s_col.tolist(), nxt_col.tolist()):
+        nexts[s].append(s2)
     seen = {ROOT}
     stack = [ROOT]
     while stack:
-        s = stack.pop()
-        for per_a in outcomes[s]:
-            for out in per_a:
-                for s2, _, _, _ in out:
-                    if s2 not in seen:
-                        seen.add(s2)
-                        stack.append(s2)
+        for s2 in nexts[stack.pop()]:
+            if s2 not in seen:
+                seen.add(s2)
+                stack.append(s2)
     game.reachable[sorted(seen)] = True
     return game
 

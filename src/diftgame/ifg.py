@@ -124,6 +124,16 @@ class Ifg:
             )
 
 
+def _node_ids(value: object, what: str) -> list[int]:
+    """``value`` if it is a list of integer node ids (bool is not one)."""
+    if not isinstance(value, list):
+        raise GraphLoadError(f"'{what}' must be a list of node ids, got {value!r}")
+    for v in value:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise GraphLoadError(f"'{what}': node id {v!r} is not an integer")
+    return value
+
+
 def _parse_nodes(data: object) -> list[IfgNode]:
     if not isinstance(data, list) or not data:
         raise GraphLoadError("'nodes' must be a nonempty list")
@@ -172,7 +182,7 @@ def load_graph(path: str) -> RawLogGraph:
     for e in raw_edges:
         if (not isinstance(e, list)) or len(e) != 2:
             raise GraphLoadError(f"bad edge entry {e!r}")
-        u, v = e
+        u, v = _node_ids(e, "edges")
         if u not in idset or v not in idset:
             raise GraphLoadError(f"edge ({u},{v}) references unknown node")
         if u == v:
@@ -182,8 +192,11 @@ def load_graph(path: str) -> RawLogGraph:
     if dropped:
         log.warning("dropped %d self-loop(s) while loading %s", dropped, path)
 
-    entries = set(data.get("entries", []))
-    destinations = [set(d) for d in data.get("destinations", [])]
+    entries = set(_node_ids(data.get("entries", []), "entries"))
+    groups = data.get("destinations", [])
+    if not isinstance(groups, list):
+        raise GraphLoadError(f"'destinations' must be a list of node id lists, got {groups!r}")
+    destinations = [set(_node_ids(d, "destinations")) for d in groups]
     for group in [entries, *destinations]:
         if not group <= idset:
             raise GraphLoadError("entry/destination ids must be graph nodes")

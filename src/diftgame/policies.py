@@ -126,6 +126,8 @@ def policy_to_json(game: Game, policy: Policy) -> dict:
 
 
 def policy_from_json(game: Game, data: dict) -> Policy:
+    if not isinstance(data, dict):
+        raise ValueError("policy file must contain a JSON object")
     player = data.get("player")
     if player not in ("D", "A"):
         raise ValueError(f"bad player {player!r}")
@@ -145,8 +147,12 @@ def policy_from_json(game: Game, data: dict) -> Policy:
         want = [game.action_label(a) for a in sets[s]]
         if item["actions"] != want:
             raise ValueError(f"state {s}: action labels do not match the game")
-        vec = np.asarray(item["probs"], dtype=float)
-        table[s] = vec
+        probs = item["probs"]
+        if not isinstance(probs, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in probs
+        ):
+            raise ValueError(f"state {s}: probs must be a list of numbers, got {probs!r}")
+        table[s] = np.asarray(probs, dtype=float)
     pol = Policy(player, table)
     pol.validate(game)
     return pol

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import Env
+from .env import Env, uniforms
 from .game import Game
 from .policies import Policy, PolicyPair, pick, project_simplex
 
-_BLOCK = 4096
 _MIN_STEP = 1e-15  # policy moves below this are treated as no update
 
 
@@ -70,9 +70,7 @@ class TrainerState:
     eps_a: list[np.ndarray]
     pi: PolicyPair
     visits: np.ndarray
-    _rng: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
-    _buf: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _pos: int = field(repr=False, default=0)
+    _uniforms: Iterator[float] = field(repr=False)  # the learner's action draws
 
 
 @dataclass
@@ -139,7 +137,7 @@ def init_trainer(env: Env, cfg: TrainConfig) -> TrainerState:
         table_a.append(project_simplex(np.full(len(acts_a), 1.0 / len(acts_a)), cfg.exploration_floor))
         eps_d.append(np.zeros(len(acts_d)))
         eps_a.append(np.zeros(len(acts_a)))
-    st = TrainerState(
+    return TrainerState(
         n=0,
         current=env.current,
         v_d=np.zeros(n),
@@ -150,20 +148,8 @@ def init_trainer(env: Env, cfg: TrainConfig) -> TrainerState:
         eps_a=eps_a,
         pi=PolicyPair(Policy("D", table_d), Policy("A", table_a)),
         visits=np.zeros(n, dtype=np.int64),
+        _uniforms=uniforms([cfg.seed, 1]),
     )
-    st._rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 1]))
-    st._buf = np.empty(0)
-    st._pos = 0
-    return st
-
-
-def _uniform(st: TrainerState) -> float:
-    if st._pos >= st._buf.size:
-        st._buf = st._rng.random(_BLOCK)
-        st._pos = 0
-    u = st._buf[st._pos]
-    st._pos += 1
-    return float(u)
 
 
 def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
@@ -180,8 +166,8 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
 
     pi_d = st.pi.d.table
     pi_a = st.pi.a.table
-    di = pick(pi_d[s], _uniform(st))
-    ai = pick(pi_a[s], _uniform(st))
+    di = pick(pi_d[s], next(st._uniforms))
+    ai = pick(pi_a[s], next(st._uniforms))
     acts_d, acts_a = env.actions(s)
     s2, r_d, r_a = env.step(acts_d[di], acts_a[ai])
 

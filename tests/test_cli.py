@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving the real entry point."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -139,6 +140,36 @@ class TestPrune:
              "--out", str(tmp_path / "o.json")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("entries", 5),
+            ("entries", [[0]]),
+            ("entries", [0.0]),
+            ("destinations", [2]),
+            ("destinations", None),
+            ("edges", [[0], 1]),
+            ("edges", [0.0, 1]),
+            ("edges", [False, True]),
+        ],
+    )
+    def test_bad_node_id_exit_2(self, tmp_path, capsys, field, value):
+        graph = {
+            "nodes": [{"id": i, "kind": "process", "label": f"p{i}"} for i in range(4)],
+            "edges": [[0, 1], [1, 2], [2, 3]],
+            "entries": [0],
+            "destinations": [[3]],
+        }
+        if field == "edges":
+            graph["edges"].append(value)
+        else:
+            graph[field] = value
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(graph))
+        rc = main(["prune", "--in", str(src), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert f"'{field}'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -356,6 +387,28 @@ class TestCertifyCompare:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda data: [data],
+            lambda data: data["states"][1].update(probs={"a": 1}) or data,
+            lambda data: data["states"][1].update(probs=[{"a": 1}]) or data,
+        ],
+        ids=["top-level list", "probs object", "probs entry object"],
+    )
+    def test_malformed_policy_file_exit_2(
+        self, tmp_path, config, uniform_pair_files, mutate, capsys
+    ):
+        d_path, a_path = uniform_pair_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads(open(d_path).read()))))
+        rc = main(
+            ["certify", "--config", config, "--policy-d", str(bad),
+             "--policy-a", a_path, "--out", str(tmp_path / "c.json")]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_compare_writes_three_rows(
         self, tmp_path, config, uniform_pair_files, capsys
     ):
@@ -426,3 +479,37 @@ def test_numpy_not_leaked_into_csv(tmp_path, config):
     assert main(["train", "--config", config, "--out", str(outdir)]) == 0
     text = (outdir / "history.csv").read_text()
     assert "np.float64" not in text
+
+
+def test_train_outputs_golden(tmp_path):
+    # Digests of `diftgame train` on the criterion-5 fixture at 2e4 steps,
+    # recorded before the kernel was stored as flat arrays.  The rule, the
+    # outcome order and the random streams must not change the trained
+    # bytes.  The phi columns of history.csv come from a LAPACK solve
+    # (numpy 2.4, OpenBLAS, x86-64 when recorded).
+    kinds = ["process", "file", "socket", "other"]
+    ifg = Ifg(
+        [IfgNode(i, kinds[i % 4], f"n{i}") for i in range(10)],
+        {(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (6, 7), (7, 8), (8, 9)},
+        {0, 1},
+        [{6}, {8}, {9}],
+    )
+    save_graph(ifg, str(tmp_path / "g.json"))
+    cfg = {
+        "graph": {"file": str(tmp_path / "g.json")},
+        "params": {"defaults": 3},
+        "fn": {"default": 0.2},
+        "train": {"iterations": 20000, "warmup": 7000, "seed": 17, "stride": 500},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(run)]) == 0
+    digests = {
+        name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+        for name in ("policy_d.json", "policy_a.json", "history.csv")
+    }
+    assert digests == {
+        "policy_d.json": "a119b268fbbd5914e91296588e7e50ea4f26c9a61fab045ffa387bbb46586d7f",
+        "policy_a.json": "2a0149dedfd5032858147ac9c14b171e8ccfd57536f19f00e93dc452961badb2",
+        "history.csv": "d077f3867fe63c8c28e803250b83a7ce35885e10193b3a4a8e30c1d1dd579b56",
+    }

@@ -16,7 +16,7 @@ from diftgame.game import (
     build_game,
 )
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
-from diftgame.policies import PolicyPair, sample, uniform_policy
+from diftgame.policies import Policy, PolicyPair, sample, uniform_policy
 
 
 def small_game(fn=0.3):
@@ -203,6 +203,23 @@ class TestRolloutAverage:
             cur, _, _ = env2.step(acts_d[d_i], acts_a[a_i])
         tail2 = walk(env2, pair, 37, seed=2)
         assert tail == tail2
+
+    def test_golden_floats(self):
+        # Recorded before the kernel was stored as flat arrays.  The second
+        # call continues the transition stream across block boundaries.
+        game = build_game(
+            generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+        )
+        rng = np.random.default_rng([7, 2])
+        tables = [
+            [rng.dirichlet(np.ones(len(a))) for a in sets]
+            for sets in (game.actions_d, game.actions_a)
+        ]
+        pair = PolicyPair(Policy("D", tables[0]), Policy("A", tables[1]))
+        env = Env(game, seed=3)
+        assert rollout_average(env, pair, 20000, 3) == (7.9673, -6.5755)
+        assert rollout_average(env, pair, 7777, 4) == (7.957310016715957, -6.511508293686512)
+        assert (env.current, env.step_count) == (2, 27777)
 
     def test_zero_steps_rejected(self, game):
         pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))

@@ -159,6 +159,26 @@ class TestKernel:
             fork_game.transition_dist(s, NO_INSPECT, AtkAction("move", ROOT))
         with pytest.raises(InvalidActionError):
             fork_game.transition_dist(ROOT, NO_INSPECT, QUIT)
+        for di, ai in ((0, 99), (99, 0), (-1, 0), (0, -1)):
+            with pytest.raises(InvalidActionError):
+                fork_game.outcomes(s, di, ai)
+
+    @pytest.mark.parametrize("which", ["fork", "chain", "relaxed"])
+    def test_outcomes_match_the_rule(self, which, fork_game, chain_game):
+        if which == "relaxed":
+            # strict_table off, a perfect inspection (fn 0.0) and a cost override
+            ifg = make_ifg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)], [0], [[4]])
+            params = dataclasses.replace(
+                RewardParams.defaults(1), strict_table=False, cost_overrides={(2, 1): -2.5}
+            )
+            g = build_game(ifg, params, FnRates(0.3, {(2, 1): 0.0, (3, 1): 0.6}))
+        else:
+            g = fork_game if which == "fork" else chain_game
+        for s in range(g.n_states):
+            for di, d in enumerate(g.actions_d[s]):
+                for ai, a in enumerate(g.actions_a[s]):
+                    want = [(s2, p, *g.reward(s, d, a, s2)) for s2, p in g.transition_dist(s, d, a)]
+                    assert list(g.outcomes(s, di, ai)) == want
 
 
 class TestRewards:

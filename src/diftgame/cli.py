@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from .env import Env
 from .equilibrium import certify_arne, compare_defenses
 from .game import FnRates, Game, GameBuildError, RewardParams, build_game
 from .ifg import (
@@ -256,28 +257,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     game = _game_from_config(cfg)
     tcfg = _train_config(cfg, args)
-    outdir = args.out or cfg.get("out", "run")
+    outdir = cfg.get("out", "run")
+    if not isinstance(outdir, str):
+        raise ConfigError(f"out must be a path string, got {outdir!r}")
+    outdir = args.out or outdir
     os.makedirs(outdir, exist_ok=True)
 
     pair, hist = train(game, tcfg)
     hist.to_csv(os.path.join(outdir, "history.csv"))
     save_policy(game, pair.d, os.path.join(outdir, "policy_d.json"))
     save_policy(game, pair.a, os.path.join(outdir, "policy_a.json"))
-    resolved = dict(cfg)
-    resolved["train"] = {
-        "iterations": tcfg.iterations,
-        "warmup": tcfg.warmup,
-        "step_pre": tcfg.step_pre,
-        "step_post": tcfg.step_post,
-        "sgn_sharpness": tcfg.sgn_sharpness,
-        "exploration_floor": tcfg.exploration_floor,
-        "seed": tcfg.seed,
-        "stride": tcfg.stride,
-    }
     _write_manifest(
         os.path.join(outdir, "manifest.json"),
         "train",
-        resolved,
+        {**cfg, "train": dataclasses.asdict(tcfg)},
         {"outputs": ["history.csv", "policy_d.json", "policy_a.json"]},
     )
     last = hist.rows[-1] if hist.rows else (0, 0.0, 0.0, None, None, None)
@@ -301,6 +294,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     game = _game_from_config(cfg)
     pair = _load_pair(game, args)
     tol = args.tol if args.tol is not None else _number(cfg.get("tol", 0.5), "tol")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol!r}")
     cert = certify_arne(game, pair, tol)
     out = args.out or "certificate.json"
     cert.save(out)

@@ -12,7 +12,6 @@ steps is a pure function of (seed, n) and reruns are bit-reproducible.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -38,21 +37,7 @@ class Env:
         self._game = game
         self._actions_d = game.actions_d
         self._actions_a = game.actions_a
-        self._index_d = [{a: i for i, a in enumerate(acts)} for acts in game.actions_d]
-        self._index_a = [{a: i for i, a in enumerate(acts)} for acts in game.actions_a]
-        # The kernel as plain Python values (the step loops need floats, not
-        # numpy scalars): a tuple of (s', p, r_d, r_a) outcomes per joint
-        # action, indexed [s][di][ai].  Equal tuples are stored once; most
-        # joint actions share their outcomes with others at the same state.
-        k = game.kernel
-        shared: dict = {}
-        rows = [shared.setdefault(r, r) for r in zip(k.nxt.tolist(), k.p.tolist(), *k.r.tolist())]
-        joint = (tuple(rows[i:j]) for i, j in itertools.pairwise(k.first.tolist()))
-        outs = (shared.setdefault(o, o) for o in joint)
-        self._outs = [
-            [list(itertools.islice(outs, len(acts_a))) for _ in acts_d]
-            for acts_d, acts_a in zip(game.actions_d, game.actions_a)
-        ]
+        self._outs = game.outcome_table
         self.n_states = game.n_states
         self.seed = seed
         self.current = ROOT
@@ -74,9 +59,9 @@ class Env:
         """Play one joint action; returns (next state, defender pay, intruder pay)."""
         s = self.current
         try:
-            di = self._index_d[s][d]
-            ai = self._index_a[s][a]
-        except KeyError:
+            di = self._actions_d[s].index(d)
+            ai = self._actions_a[s].index(a)
+        except ValueError:
             raise InvalidActionError(
                 f"action pair ({d}, {a}) unavailable at state {s}"
             ) from None
@@ -96,38 +81,37 @@ def rollout_average(
 ) -> tuple[float, float]:
     """Trajectory-average payoffs under a fixed policy pair.
 
-    Actions are drawn from a separate Philox stream so the environment's
-    transition stream stays aligned with its step counter.  The loop body
-    works on plain Python floats and lists; long Monte-Carlo runs are two
-    orders of magnitude faster that way than through per-step array ops.
+    Actions are drawn in (defender, intruder) pairs from a separate Philox
+    stream so the environment's transition stream stays aligned with its
+    step counter.  The loop body works on plain Python floats and lists;
+    long Monte-Carlo runs are two orders of magnitude faster that way than
+    through per-step array ops.
     """
     from bisect import bisect_right
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    arng = np.random.Generator(np.random.Philox(key=[action_seed, 1]))
     cum_d = [np.cumsum(v).tolist() for v in pi.d.table]
     cum_a = [np.cumsum(v).tolist() for v in pi.a.table]
     outs = env._outs
     total_d = 0.0
     total_a = 0.0
-    au = arng.random(2 * steps).tolist()
-    # Continue the env's transition stream, so the env stays replayable.
-    draws = env._uniforms
+    au = uniforms([action_seed, 1])
     s = env.current
-    for k in range(steps):
+    # The range comes first, so zip stops without drawing past the last
+    # step.  Continuing the env's transition stream keeps the env replayable.
+    for _, u_d, u_a, u in zip(range(steps), au, au, env._uniforms):
         cd = cum_d[s]
         last = len(cd) - 1
-        di = bisect_right(cd, au[2 * k] * cd[last])
+        di = bisect_right(cd, u_d * cd[last])
         if di > last:
             di = last
         ca = cum_a[s]
         last = len(ca) - 1
-        ai = bisect_right(ca, au[2 * k + 1] * ca[last])
+        ai = bisect_right(ca, u_a * ca[last])
         if ai > last:
             ai = last
         out = outs[s][di][ai]
-        u = next(draws)
         if len(out) == 1 or u < out[0][1]:
             s, _, r_d, r_a = out[0]
         else:

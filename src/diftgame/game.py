@@ -13,6 +13,7 @@ recurrent walk and long-run average rewards are well defined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ifg import Ifg
+from .ifg import Ifg, _reach_from
 
 
 class GameBuildError(ValueError):
@@ -162,9 +163,9 @@ class FnRates:
 
 class Kernel(NamedTuple):
     """Every outcome of every joint action, one array entry per outcome,
-    ordered by (state, defender action, intruder action).  Joint action
-    (di, ai) at state s is number j = joint[s] + di * len(actions_a[s]) + ai;
-    its outcomes are entries first[j] to first[j + 1] - 1."""
+    ordered by (state, defender action, intruder action).  The outcomes of
+    the j-th joint action in that order are entries first[j] to
+    first[j + 1] - 1."""
 
     s: np.ndarray
     d: np.ndarray
@@ -172,7 +173,6 @@ class Kernel(NamedTuple):
     nxt: np.ndarray
     p: np.ndarray
     r: np.ndarray  # payoffs of D (row 0) and A (row 1)
-    joint: np.ndarray  # per state, plus the joint-action count
     first: np.ndarray  # per joint action, plus the entry count
 
 
@@ -301,15 +301,28 @@ class Game:
             f"{self.state_label(s)} under ({d}, {a})"
         )
 
+    @functools.cached_property
+    def outcome_table(self) -> list[list[list[tuple]]]:
+        """The kernel as plain Python values (sampling loops need floats, not
+        numpy scalars): a tuple of (s', p, r_d, r_a) outcomes per joint
+        action, indexed [s][di][ai].  Built on first use; equal tuples are
+        stored once, as most joint actions share their outcomes with others
+        at the same state."""
+        k = self.kernel
+        shared: dict = {}
+        rows = [shared.setdefault(r, r) for r in zip(k.nxt.tolist(), k.p.tolist(), *k.r.tolist())]
+        joint = (tuple(rows[i:j]) for i, j in itertools.pairwise(k.first.tolist()))
+        outs = (shared.setdefault(o, o) for o in joint)
+        return [
+            [list(itertools.islice(outs, len(acts_a))) for _ in acts_d]
+            for acts_d, acts_a in zip(self.actions_d, self.actions_a)
+        ]
+
     def outcomes(self, s: int, di: int, ai: int) -> tuple[tuple[int, float, float, float], ...]:
         """(s', p, r_d, r_a) of each outcome of the action indices (di, ai) at s."""
-        n_a = len(self.actions_a[s])
-        if not (0 <= di < len(self.actions_d[s]) and 0 <= ai < n_a):
+        if not (0 <= di < len(self.actions_d[s]) and 0 <= ai < len(self.actions_a[s])):
             raise InvalidActionError(f"no joint action ({di}, {ai}) at {self.state_label(s)}")
-        k = self.kernel
-        j = k.joint[s] + di * n_a + ai
-        e = slice(k.first[j], k.first[j + 1])
-        return tuple(zip(k.nxt[e].tolist(), k.p[e].tolist(), *k.r[:, e].tolist()))
+        return self.outcome_table[s][di][ai]
 
     def marginalize(self, opponent, actor: str) -> Marginal:
         """The kernel as seen by ``actor`` while ``opponent`` plays its mixture."""
@@ -425,19 +438,12 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
     joint = np.cumsum([0, *(n_d * n_a)])
     # entries are sorted by joint-action number, and every joint action has one
     first = np.searchsorted(joint[s_col] + d_col * n_a[s_col] + a_col, np.arange(joint[-1] + 1))
-    game.kernel = Kernel(s_col, d_col, a_col, nxt_col, cols[4].copy(), cols[5:].copy(), joint, first)
+    game.kernel = Kernel(s_col, d_col, a_col, nxt_col, cols[4].copy(), cols[5:].copy(), first)
 
-    nexts: list[list[int]] = [[] for _ in range(n)]
+    nexts: dict[int, list[int]] = {}
     for s, s2 in zip(s_col.tolist(), nxt_col.tolist()):
-        nexts[s].append(s2)
-    seen = {ROOT}
-    stack = [ROOT]
-    while stack:
-        for s2 in nexts[stack.pop()]:
-            if s2 not in seen:
-                seen.add(s2)
-                stack.append(s2)
-    game.reachable[sorted(seen)] = True
+        nexts.setdefault(s, []).append(s2)
+    game.reachable[list(_reach_from(nexts, {ROOT}))] = True
     return game
 
 

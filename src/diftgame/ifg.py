@@ -517,7 +517,7 @@ def to_ifg(g: RawLogGraph) -> Ifg:
     old_ids = sorted(n.id for n in g.nodes)
     remap = {old: new for new, old in enumerate(old_ids)}
     nodes = [
-        replace(n, id=remap[n.id], origin=None if n.origin is None else n.origin)
+        replace(n, id=remap[n.id])
         for n in sorted(g.nodes, key=lambda n: n.id)
     ]
     edges = {(remap[u], remap[v]) for (u, v) in g.edges}

@@ -274,6 +274,9 @@ class TestTrain:
             (("graph", "synthetic", "dests_per_stage"), [1.0, 1]),
             (("graph", "synthetic"), [8, 2]),
             (("graph", "file"), None),
+            (("out",), 5),
+            (("out",), None),
+            (("out",), ["run"]),
         ],
     )
     def test_wrong_typed_value_exit_2(self, tmp_path, config, capsys, path, value):
@@ -343,6 +346,27 @@ class TestCertifyCompare:
         )
         assert rc == 2
         assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), (None, float("nan"))],
+    )
+    def test_bad_tol_exit_2(self, tmp_path, config, uniform_pair_files, capsys, flag, value):
+        cfg = json.loads(open(config).read())
+        extra = [flag, value] if flag else []
+        if not flag:
+            cfg["tol"] = value
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(cfg))
+        d_path, a_path = uniform_pair_files
+        out = tmp_path / "cert.json"
+        rc = main(
+            ["certify", "--config", str(path), "--policy-d", d_path,
+             "--policy-a", a_path, "--out", str(out), *extra]
+        )
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trained_pair_beats_uniform_gaps(self, tmp_path, config, capsys):
         # quick sanity loop: train, then certify the dumped pair at a loose

@@ -159,6 +159,18 @@ class TestInformationHiding:
         assert attrs == {"n_states", "seed", "current", "step_count"}
 
 
+class TestOutcomeTable:
+    def test_envs_share_the_games_table(self, game):
+        one, two = Env(game, seed=0), Env(game, seed=1)
+        assert one._outs is two._outs is game.outcome_table
+
+    def test_outcomes_returns_the_tables_tuple(self, game):
+        for s in range(game.n_states):
+            for di in range(len(game.actions_d[s])):
+                for ai in range(len(game.actions_a[s])):
+                    assert game.outcomes(s, di, ai) is game.outcome_table[s][di][ai]
+
+
 class TestRolloutAverage:
     def test_matches_manual_walk_average(self, game):
         pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))

@@ -85,12 +85,17 @@ def rollout_average(
     stream so the environment's transition stream stays aligned with its
     step counter.  The loop body works on plain Python floats and lists;
     long Monte-Carlo runs are two orders of magnitude faster that way than
-    through per-step array ops.
+    through per-step array ops.  The pair is validated against the env's
+    game first: a malformed row would otherwise sample its first action.
     """
     from bisect import bisect_right
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if pi.d.player != "D" or pi.a.player != "A":
+        raise ValueError("policy pair must hold the defender's then the intruder's policy")
+    pi.d.validate(env._game)
+    pi.a.validate(env._game)
     cum_d = [np.cumsum(v).tolist() for v in pi.d.table]
     cum_a = [np.cumsum(v).tolist() for v in pi.a.table]
     outs = env._outs

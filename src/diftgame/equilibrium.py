@@ -9,11 +9,12 @@ the game graph; states that exist only as indices (a node paired with a
 stage the intrusion can never be in) are ignored.
 
 For a policy pair the induced chain has a single recurrent class containing
-the root, so the long-run average payoff (gain) is the stationary
-expectation of the one-step payoff, and the bias vector solves the usual
-evaluation equations anchored at the root.  Per-(state, action) slack of
-those equations drives both the certification residuals and the exact
-gradient of their policy-weighted aggregate.
+the root, so the evaluation equations anchored at the root have a unique
+solution: one linear solve gives the long-run average payoff (gain) and
+the bias vector together, and their residual, checked against 1e-9,
+guards the unichain structure.  Per-(state, action) slack of those
+equations drives both the certification residuals and the exact gradient
+of their policy-weighted aggregate.
 """
 
 from __future__ import annotations
@@ -106,42 +107,34 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 def _solve_gain_bias(
     P: np.ndarray, rbar: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, set[int]]:
-    """Gain and bias on a reachable-state restriction, anchored at row 0.
+) -> tuple[np.ndarray, np.ndarray, set[int], float]:
+    """Gain, bias, recurrent class and residual, anchored at row 0.
 
     ``rbar`` may carry several payoff columns; gains and biases come back
-    with one column per payoff.  The gain is the stationary average on the
-    recurrent class; the bias solves rho + v(s) = rbar(s) + sum P v with
-    v(anchor) = 0, which is a square nonsingular system once the gain is an
-    unknown.  Both routes must agree to 1e-9, which doubles as a sanity
-    check on the unichain structure.
+    with one column per payoff.  With one recurrent class, and the anchor
+    in it, rho + v(s) = rbar(s) + sum P v with v(anchor) = 0 is a square
+    nonsingular system once the gain takes the anchor's unknown, so one
+    solve gives both.  Its largest residual over all rows must stay within
+    1e-9, which doubles as a sanity check on the unichain structure.
     """
-    m = P.shape[0]
     rbar = np.atleast_2d(rbar.T).T  # (m, k)
     rec, _ = classify_chain(P)
-    if len(rec) != 1:
+    if len(rec) != 1 or 0 not in rec[0]:
         raise UnichainViolationError(
-            f"expected one recurrent class, found {len(rec)}"
+            f"expected one recurrent class holding the anchor, found {len(rec)}"
         )
-    if 0 not in rec[0]:
-        raise UnichainViolationError("anchor state is not recurrent")
-    C = sorted(rec[0])
-    p_stat = stationary_distribution(P[np.ix_(C, C)])
-    gain = p_stat @ rbar[C, :]
-
-    A = np.zeros((m, m))
+    A = np.eye(P.shape[0]) - P
     A[:, 0] = 1.0
-    A[:, 1:] = (np.eye(m) - P)[:, 1:]
     try:
         x = np.linalg.solve(A, rbar)
     except np.linalg.LinAlgError as exc:
         raise UnichainViolationError(f"singular evaluation system: {exc}") from exc
-    if np.max(np.abs(x[0, :] - gain)) > 1e-9:
-        raise UnichainViolationError(
-            "gain mismatch between stationary and evaluation solves"
-        )
-    v = np.vstack([np.zeros((1, rbar.shape[1])), x[1:, :]])
-    return gain, v, set(C)
+    gain, v = x[0, :].copy(), x
+    v[0, :] = 0.0
+    resid = float(np.abs(gain + v - rbar - P @ v).max())
+    if not resid <= 1e-9:
+        raise UnichainViolationError(f"evaluation residual {resid:.3g} exceeds 1e-9")
+    return gain, v, rec[0], resid
 
 
 def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
@@ -149,21 +142,19 @@ def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     R = np.flatnonzero(game.reachable)
     P = game.induced_chain(pi)[np.ix_(R, R)]
     rd, ra = game.expected_rewards(pi)
-    rbar = np.column_stack([rd[R], ra[R]])
-    gain, v, C = _solve_gain_bias(P, rbar)
+    gain, v, C, resid = _solve_gain_bias(P, np.column_stack([rd[R], ra[R]]))
 
     n = game.n_states
     v_d = np.zeros(n)
     v_a = np.zeros(n)
     v_d[R] = v[:, 0]
     v_a[R] = v[:, 1]
-    resid = np.abs(gain[None, :] + v - rbar - P @ v).max()
     return EvalResult(
         rho_d=float(gain[0]),
         rho_a=float(gain[1]),
         v_d=v_d,
         v_a=v_a,
-        residual_norm=float(resid),
+        residual_norm=resid,
         recurrent={int(R[i]) for i in C},
     )
 
@@ -283,7 +274,7 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
         chosen[choice] = True
         on = chosen[m.row]
         P_pol = np.bincount(cell[on], m.prob[on], minlength=nr * nr).reshape(nr, nr)
-        g, v, _ = _solve_gain_bias(P_pol, r[choice])
+        g, v, _, _ = _solve_gain_bias(P_pol, r[choice])
         gain = float(g[0])
         v_full = np.zeros(n)
         v_full[R] = v[:, 0]
@@ -323,6 +314,8 @@ def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:
     response while the opponent stays put.  The verdict also requires no
     meaningfully negative residual and a near-zero aggregate.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     ev = evaluate_policy_pair(game, pi)
     res = residuals(game, pi, ev)
     br_d_gain = best_response(game, pi.a, "D")[1]

@@ -21,15 +21,28 @@ class Policy:
     table: list[np.ndarray]
 
     def validate(self, game: Game, floor: float = 0.0, atol: float = 1e-9) -> None:
+        """Raise ``ValueError`` unless every row is a finite probability
+        vector over its state's actions, each entry at least ``floor``.
+
+        Row shapes are checked state by state; sums and minima come from one
+        pass over the concatenated rows, so NaN or inf anywhere fails the
+        comparisons and flags its state.
+        """
         sets = game.actions_d if self.player == "D" else game.actions_a
         if len(self.table) != game.n_states:
             raise ValueError("policy table length != state count")
+        sizes = [len(acts) for acts in sets]
         for s, vec in enumerate(self.table):
-            if np.ndim(vec) != 1 or len(vec) != len(sets[s]):
-                raise ValueError(f"state {s}: {len(vec)} probs for {len(sets[s])} actions")
-            ok = np.isfinite(vec).all() and abs(float(vec.sum()) - 1.0) <= atol
-            if not ok or float(vec.min()) < floor - atol:
-                raise ValueError(f"state {s}: probabilities invalid: {vec}")
+            if np.ndim(vec) != 1 or len(vec) != sizes[s]:
+                raise ValueError(f"state {s}: probs of shape {np.shape(vec)} for {sizes[s]} actions")
+        flat = np.concatenate(self.table)
+        first = np.cumsum([0, *sizes[:-1]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            ok = np.abs(np.add.reduceat(flat, first) - 1.0) <= atol
+            ok &= np.minimum.reduceat(flat, first) >= floor - atol
+        if not ok.all():
+            s = int(np.argmin(ok))
+            raise ValueError(f"state {s}: probabilities invalid: {self.table[s]}")
 
     def copy(self) -> Policy:
         return Policy(self.player, [v.copy() for v in self.table])

@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diftgame.cli import main
 from diftgame.game import FnRates, RewardParams, build_game
@@ -306,6 +308,78 @@ class TestTrain:
         path.write_text("{not json")
         rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON value, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _small_config(table: bool) -> dict:
+    """A config that trains in milliseconds, with the reward block either
+    as defaults or as a full table."""
+    p = RewardParams.defaults(2)
+    fields = ("alpha_d", "beta_d", "sigma_d", "alpha_a", "beta_a", "sigma_a", "cost_d_per_stage")
+    return {
+        "graph": {
+            "synthetic": {
+                "n_nodes": 6, "stages": 2, "n_entries": 1, "dests_per_stage": [1, 1],
+                "edge_density": 0.3, "seed": 4,
+            }
+        },
+        "params": (
+            {**{f: list(getattr(p, f)) for f in fields}, "cost_overrides": {"1,1": 2.0}}
+            if table
+            else {"defaults": 2, "scale": 1.0}
+        ),
+        "fn": {"default": 0.2, "overrides": {"1,1": 0.5}},
+        "train": {"iterations": 30, "warmup": 10, "seed": 1, "stride": 10},
+        "out": "run",
+    }
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = _small_config(draw(st.booleans()))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        *parent, key = draw(st.sampled_from(paths))
+        target = cfg
+        for k in parent:
+            target = target[k]
+        if isinstance(target, dict) and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_configs())
+def test_mutated_config_never_exits_3(cfg):
+    # wrong types, NaN or inf, missing keys and wrong containers are usage
+    # errors (2) or valid runs (0), never runtime failures (3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["train", "--config", path, "--out", f"{tmp}/run"]) in (0, 1, 2)
 
 
 class TestCertifyCompare:

@@ -239,6 +239,22 @@ class TestRolloutAverage:
         with pytest.raises(ValueError):
             rollout_average(env, pair, 0)
 
+    @pytest.mark.parametrize("bad", ["all-zero", "nan", "short", "swapped"])
+    def test_malformed_pair_rejected(self, game, bad):
+        pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
+        if bad == "all-zero":
+            pair.a.table = [np.zeros_like(v) for v in pair.a.table]
+        elif bad == "nan":
+            pair.a.table = [np.full_like(v, np.nan) for v in pair.a.table]
+        elif bad == "short":
+            pair.a.table = [np.ones(1) for _ in pair.a.table]
+        else:
+            pair = PolicyPair(pair.a, pair.d)
+        env = Env(game, seed=0)
+        with pytest.raises(ValueError):
+            rollout_average(env, pair, 100)
+        assert (env.current, env.step_count) == (ROOT, 0)
+
 
 def _pick(probs, u):
     acc = 0.0

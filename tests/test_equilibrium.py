@@ -7,10 +7,12 @@ payoff divided by cycle length.
 """
 
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+from diftgame import equilibrium
 from diftgame.equilibrium import (
     UnichainViolationError,
     best_response,
@@ -24,7 +26,7 @@ from diftgame.equilibrium import (
     stationary_distribution,
     td_errors,
 )
-from diftgame.game import FnRates, RewardParams, build_game
+from diftgame.game import FnRates, RewardParams, build_game, classify_chain
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
 from diftgame.policies import Policy, PolicyPair, project_simplex, uniform_policy
 
@@ -64,6 +66,36 @@ def random_pair(game, seed):
             [project_simplex(rng.random(len(acts)), 0.01) for acts in sets]
         )
     return PolicyPair(Policy("D", tabs[0]), Policy("A", tabs[1]))
+
+
+def dirichlet_pair(game, seed):
+    """Interior pair with one Dirichlet(1, ..., 1) row per state and player."""
+    rng = np.random.default_rng([seed, 2])
+    tabs = [[rng.dirichlet(np.ones(len(a))) for a in sets] for sets in (game.actions_d, game.actions_a)]
+    return PolicyPair(Policy("D", tabs[0]), Policy("A", tabs[1]))
+
+
+def stationary_gains(game, pair):
+    """Independent gain oracle: stationary averages of the one-step payoffs
+    on the induced chain's recurrent class."""
+    R = np.flatnonzero(game.reachable)
+    P = game.induced_chain(pair)[np.ix_(R, R)]
+    (rec,), _ = classify_chain(P)
+    C = sorted(rec)
+    mu = stationary_distribution(P[np.ix_(C, C)])
+    rd, ra = game.expected_rewards(pair)
+    return float(mu @ rd[R[C]]), float(mu @ ra[R[C]])
+
+
+def hand_pairs(game):
+    """The by-hand pairs on the two-node game: quit at the entry, always
+    move against an idle defender, inspect the entry's edge."""
+    s_entry = game.state_index(0, 1)
+    return [
+        PolicyPair(pure(game, "D", {}), pure(game, "A", {s_entry: 1})),
+        PolicyPair(pure(game, "D", {}), pure(game, "A", {})),
+        PolicyPair(pure(game, "D", {s_entry: 1}), pure(game, "A", {})),
+    ]
 
 
 class TestStationaryDistribution:
@@ -134,14 +166,81 @@ class TestEvaluation:
             assert -60.0 <= ev.rho_a <= 60.0
 
     def test_rho_matches_stationary_average(self, synth):
-        pair = random_pair(synth, 11)
-        ev = evaluate_policy_pair(synth, pair)
-        R = np.flatnonzero(synth.reachable)
-        P = synth.induced_chain(pair)[np.ix_(R, R)]
-        mu = stationary_distribution(P)
-        rd, ra = synth.expected_rewards(pair)
-        assert float(mu @ rd[R]) == pytest.approx(ev.rho_d, abs=1e-9)
-        assert float(mu @ ra[R]) == pytest.approx(ev.rho_a, abs=1e-9)
+        # every pair this class evaluates, against the oracle the library
+        # no longer runs
+        game = two_node_game()
+        cases = [(game, pair) for pair in hand_pairs(game)]
+        cases += [(synth, random_pair(synth, seed)) for seed in (*range(6), 11)]
+        for g, pair in cases:
+            ev = evaluate_policy_pair(g, pair)
+            assert stationary_gains(g, pair) == pytest.approx((ev.rho_d, ev.rho_a), abs=1e-9)
+
+    def test_rho_matches_stationary_average_at_481_states(self):
+        game = build_game(
+            generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+        )
+        pair = dirichlet_pair(game, 1)
+        ev = evaluate_policy_pair(game, pair)
+        assert ev.residual_norm <= 1e-9
+        assert stationary_gains(game, pair) == pytest.approx((ev.rho_d, ev.rho_a), abs=1e-9)
+
+
+class TestOneSolve:
+    """Each evaluation classifies its chain once and solves once; the
+    residual of that one solve is the only consistency check."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"classify": 0, "solve": 0, "evaluations": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(equilibrium, "classify_chain", counted("classify", equilibrium.classify_chain))
+        monkeypatch.setattr(equilibrium.np.linalg, "solve", counted("solve", equilibrium.np.linalg.solve))
+        # one call per evaluate_policy_pair and per policy-iteration round
+        monkeypatch.setattr(
+            equilibrium, "_solve_gain_bias", counted("evaluations", equilibrium._solve_gain_bias)
+        )
+        return calls
+
+    def test_evaluate_calls_each_once(self, synth, calls):
+        for seed in range(3):
+            calls.update(classify=0, solve=0, evaluations=0)
+            evaluate_policy_pair(synth, random_pair(synth, seed))
+            assert calls == {"classify": 1, "solve": 1, "evaluations": 1}
+
+    def test_best_response_calls_each_once_per_round(self, synth, calls):
+        for player, opp in (("D", random_pair(synth, 9).a), ("A", random_pair(synth, 9).d)):
+            calls.update(classify=0, solve=0, evaluations=0)
+            best_response(synth, opp, player)
+            assert calls["evaluations"] >= 2
+            assert calls["classify"] == calls["solve"] == calls["evaluations"]
+
+    def test_perturbed_bias_raises(self, synth, monkeypatch):
+        solve = np.linalg.solve
+
+        def nudged(A, b):
+            x = solve(A, b)
+            x[2, 0] += 1e-6  # row 0 holds the gain, every later row a bias
+            return x
+
+        monkeypatch.setattr(equilibrium.np.linalg, "solve", nudged)
+        with pytest.raises(UnichainViolationError, match="residual"):
+            evaluate_policy_pair(synth, random_pair(synth, 0))
+
+    def test_library_never_calls_stationary_distribution(self):
+        pkg = pathlib.Path(equilibrium.__file__).parent
+        callers = [
+            path.name
+            for path in sorted(pkg.glob("*.py"))
+            if "stationary_distribution(" in path.read_text().replace("def stationary_distribution(", "")
+        ]
+        assert callers == []
 
 
 class TestResiduals:
@@ -369,6 +468,12 @@ class TestCertification:
         cert = certify_arne(synth, pair, tol=0.5)
         assert not cert.verdict
         assert max(cert.gaps.values()) > 0.5
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_bad_tol_rejected(self, synth, tol):
+        pair = PolicyPair(uniform_policy(synth, "D"), uniform_policy(synth, "A"))
+        with pytest.raises(ValueError, match="tol"):
+            certify_arne(synth, pair, tol)
 
     def test_certificate_serialization(self, synth, tmp_path):
         import json

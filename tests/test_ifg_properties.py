@@ -2,7 +2,12 @@
 
 Reachability is checked against ``networkx.transitive_closure``, an oracle
 written independently of the package (networkx is a test-only dependency).
+The graph file format is checked by round trips through ``save_graph`` and
+``load_graph``.
 """
+
+import os
+import tempfile
 
 import pytest
 
@@ -11,12 +16,16 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from diftgame.ifg import (  # noqa: E402
+    NODE_KINDS,
+    Ifg,
     IfgNode,
     RawLogGraph,
     collapse_multi_edges,
+    load_graph,
     merge_directory_nodes,
     prune_attack_subgraph,
     remove_cycles_by_versioning,
+    save_graph,
     to_ifg,
 )
 
@@ -74,3 +83,37 @@ def test_pipeline_acyclic_and_reachability_preserved(case):
     dag.add_nodes_from(range(ifg.n_nodes))
     dag.add_edges_from(ifg.edges)
     assert nx.is_directed_acyclic_graph(dag)
+
+
+@st.composite
+def saved_graphs(draw):
+    """A raw graph (nodes in any order, parallel edges and self-loops) or an
+    Ifg (a set of forward edges, version origins), with arbitrary labels and
+    role sets; neither is validated, since saving never validates."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    nodes = [
+        IfgNode(i, draw(st.sampled_from(NODE_KINDS)), draw(st.text(max_size=6)), draw(st.none() | ids))
+        for i in range(n)
+    ]
+    entries = draw(st.sets(ids))
+    destinations = draw(st.lists(st.sets(ids, min_size=1), max_size=3))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    if draw(st.booleans()):
+        return RawLogGraph(draw(st.permutations(nodes)), pairs, entries, destinations)
+    return Ifg(nodes, {(u, v) for u, v in pairs if u < v}, entries, destinations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(saved_graphs())
+def test_save_load_round_trip(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        save_graph(g, path)
+        back = load_graph(path)
+    assert back.nodes == [IfgNode(n.id, n.kind, n.label) for n in sorted(g.nodes, key=lambda n: n.id)]
+    # the file keeps edges sorted; loading drops self-loops and counts them
+    assert back.edges == [(u, v) for u, v in sorted(g.edges) if u != v]
+    assert back.self_loops_dropped == sum(u == v for u, v in g.edges)
+    assert back.entries == g.entries
+    assert back.destinations == g.destinations

@@ -1,4 +1,5 @@
-"""Property tests for the simplex projection and the policy file format."""
+"""Property tests for the simplex projection, policy validation and the
+policy file format."""
 
 import json
 
@@ -63,3 +64,47 @@ def test_policy_json_round_trip_is_bit_exact(pol):
     assert len(back.table) == len(pol.table)
     for a, b in zip(pol.table, back.table):
         assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
+
+
+def validate_by_rows(pol, floor):
+    """Row-by-row reference for ``Policy.validate``'s value checks."""
+    for vec in pol.table:
+        if not (np.isfinite(vec).all() and abs(float(vec.sum()) - 1.0) <= 1e-9):
+            return False
+        if float(vec.min()) < floor - 1e-9:
+            return False
+    return True
+
+
+@st.composite
+def noisy_policies(draw):
+    """A policy for GAME whose rows may be off the simplex: unnormalized,
+    negative, NaN or infinite entries, a sum off by about atol, or mass
+    moved between two entries so that one drops below the floor or zero."""
+    player = draw(st.sampled_from("DA"))
+    sets = GAME.actions_d if player == "D" else GAME.actions_a
+    table = []
+    for acts in sets:
+        vec = np.full(len(acts), 1.0 / len(acts))
+        i, j = draw(st.integers(0, len(acts) - 1)), draw(st.integers(0, len(acts) - 1))
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            vec[i] += draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 1e-9, 2e-9, 1e-3]))
+        elif kind == 1 and i != j:
+            moved = draw(st.sampled_from([0.2, 0.3, 0.5, 0.9]))
+            vec[i] -= moved
+            vec[j] += moved
+        table.append(vec)
+    return Policy(player, table), draw(st.sampled_from([0.0, 0.05]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_policies())
+def test_validate_matches_row_by_row_reference(case):
+    pol, floor = case
+    try:
+        pol.validate(GAME, floor=floor)
+        ok = True
+    except ValueError:
+        ok = False
+    assert ok == validate_by_rows(pol, floor)

@@ -24,9 +24,13 @@ class Policy:
         """Raise ``ValueError`` unless every row is a finite probability
         vector over its state's actions, each entry at least ``floor``.
 
-        Row shapes are checked state by state; sums and minima come from one
-        pass over the concatenated rows, so NaN or inf anywhere fails the
-        comparisons and flags its state.
+        Row shapes are checked state by state.  Sums and minima come from
+        one ``(rows, k)`` block per row length k of the rows stacked in
+        length order, so NaN or inf anywhere fails the comparisons and flags
+        its state.  Summing along a block row adds in the same order as
+        ``vec.sum()``, so a sum within rounding of ``atol`` gets the same
+        verdict as a row-by-row check (``np.add.reduceat`` adds in another
+        order and would not).
         """
         sets = game.actions_d if self.player == "D" else game.actions_a
         if len(self.table) != game.n_states:
@@ -35,11 +39,21 @@ class Policy:
         for s, vec in enumerate(self.table):
             if np.ndim(vec) != 1 or len(vec) != sizes[s]:
                 raise ValueError(f"state {s}: probs of shape {np.shape(vec)} for {sizes[s]} actions")
-        flat = np.concatenate(self.table)
-        first = np.cumsum([0, *sizes[:-1]])
+        order = np.argsort(sizes, kind="stable")
+        ks = np.asarray(sizes)[order]
+        flat = np.concatenate([self.table[s] for s in order])
+        sums = np.empty(len(ks))
+        mins = np.empty(len(ks))
+        cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), len(ks)]
+        pos = 0
+        ok = np.empty(len(ks), dtype=bool)
         with np.errstate(invalid="ignore", over="ignore"):
-            ok = np.abs(np.add.reduceat(flat, first) - 1.0) <= atol
-            ok &= np.minimum.reduceat(flat, first) >= floor - atol
+            for a, b in zip(cuts, cuts[1:]):
+                block = flat[pos : pos + (b - a) * ks[a]].reshape(b - a, ks[a])
+                pos += block.size
+                sums[a:b] = block.sum(axis=1)
+                mins[a:b] = block.min(axis=1)
+            ok[order] = (np.abs(sums - 1.0) <= atol) & (mins >= floor - atol)
         if not ok.all():
             s = int(np.argmin(ok))
             raise ValueError(f"state {s}: probabilities invalid: {self.table[s]}")

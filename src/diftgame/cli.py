@@ -68,7 +68,10 @@ def _integer(value: object, what: str) -> int:
 def _number(value: object, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer too large for a float") from None
 
 
 def _object(value: object, what: str) -> dict:

@@ -104,7 +104,7 @@ def project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Euclidean projection onto {p : p >= floor, sum p = 1}.
 
     Requires floor * len(v) < 1 so the floored simplex is nonempty.  With
-    the substitution p = floor + q this is projection onto a scled simplex,
+    the substitution p = floor + q this is projection onto a scaled simplex,
     solved by the usual sort-and-threshold rule.
     """
     v = np.asarray(v, dtype=float)

@@ -279,6 +279,8 @@ class TestTrain:
             (("out",), 5),
             (("out",), None),
             (("out",), ["run"]),
+            # an integer literal beyond float range (1 and 400 zeros)
+            pytest.param(("train", "step_pre"), 10**400, id="step_pre-int-beyond-float"),
         ],
     )
     def test_wrong_typed_value_exit_2(self, tmp_path, config, capsys, path, value):
@@ -302,6 +304,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert path[-1] in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 + 5])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_of_range_seed_exit_2(self, tmp_path, config, capsys, seed, via):
+        argv = ["train", "--config", config, "--out", str(tmp_path / "o"), "--iters", "10"]
+        if via == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            cfg = json.loads(open(config).read())
+            cfg["train"]["seed"] = seed
+            (tmp_path / "seed.json").write_text(json.dumps(cfg))
+            argv[2] = str(tmp_path / "seed.json")
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "seed" in err
 
     def test_malformed_config_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -9,6 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from diftgame import training  # noqa: E402
 from diftgame.game import FnRates, RewardParams, build_game  # noqa: E402
 from diftgame.ifg import generate_synthetic  # noqa: E402
 from diftgame.policies import (  # noqa: E402
@@ -42,6 +43,24 @@ def test_projection_lands_on_floored_simplex_and_is_idempotent(case):
     assert p.min() >= floor - 1e-12
     assert abs(p.sum() - 1.0) <= 1e-12
     np.testing.assert_allclose(project_simplex(p, floor), p, rtol=0, atol=1e-12)
+
+
+@st.composite
+def learner_rows(draw):
+    """A row of 1-30 entries (the learner's rows reach 27 at 481 states) and
+    a feasible floor: none, the default exploration floor or a drawn one."""
+    n = draw(st.integers(1, 30))
+    v = draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))
+    floor = draw(st.one_of(st.just(0.0), st.just(1e-3), st.floats(0.0, 0.999 / n)))
+    return v, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(learner_rows())
+def test_learner_projection_is_bit_identical_to_the_library_one(case):
+    v, floor = case
+    got = np.array(training.project_simplex(v, floor))
+    assert got.tobytes() == project_simplex(np.array(v), floor).tobytes()
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Learner tests: schedules, single-step updates, short-run behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -62,6 +63,17 @@ class TestConfig:
             with pytest.raises(ValueError):
                 TrainConfig(iterations=0, **{field: bad}).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**64 + 5])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        # Philox takes the seed as one 64-bit key word: from 2**64 on numpy
+        # raised OverflowError, and [2**63, 2**64) went through an invalid
+        # cast with a RuntimeWarning
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(iterations=0, seed=seed).validate()
+
+    def test_largest_seed_accepted(self):
+        TrainConfig(iterations=0, seed=2**63 - 1).validate()
+
 
 class TestSchedules:
     def test_warmup_constants(self):
@@ -108,12 +120,12 @@ class TestInit:
         env = Env(game, seed=0)
         st = init_trainer(env, TrainConfig(iterations=0))
         assert st.n == 0 and st.current == 0
-        assert not st.v_d.any() and not st.v_a.any()
+        assert not np.any(st.v_d) and not np.any(st.v_a)
         assert st.rho_d == st.rho_a == 0.0
         for s in range(game.n_states):
             k = len(game.actions_d[s])
             np.testing.assert_allclose(st.pi.d.table[s], 1.0 / k, atol=1e-12)
-            assert all(not e.any() for e in (st.eps_d[s], st.eps_a[s]))
+            assert all(not np.any(e) for e in (st.eps_d[s], st.eps_a[s]))
 
 
 class TestTrainStep:
@@ -273,3 +285,27 @@ class TestTrain:
             for r in rows[1:]
         ]
         assert got == [tuple(map(float, r)) for r in hist.rows]
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "7ae854eea6ece1bd49f17bb6a960c9ef7057d6661b32df8649cb84c7098a3de6"),
+        (2, "9bded6e2459268ab192068a209649df554b63965945077163a7896aa823ea219"),
+    ],
+)
+def test_model_free_train_golden(seed, digest):
+    # sha256 of model-free training on an Env over the 481-state game,
+    # recorded while the learner state was held in numpy arrays: the final
+    # tables' bytes, then the history rows.  Where the learner keeps its
+    # state must not change the trained bits.
+    game = build_game(
+        generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+    )
+    pair, hist = train(Env(game, seed=seed), TrainConfig(iterations=2500, warmup=625, seed=seed))
+    h = hashlib.sha256()
+    for pol in (pair.d, pair.a):
+        for row in pol.table:
+            h.update(np.asarray(row, dtype=float).tobytes())
+    h.update(repr([(n, float(rd), float(ra)) for n, rd, ra, *_ in hist.rows]).encode())
+    assert h.hexdigest() == digest

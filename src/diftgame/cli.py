@@ -39,7 +39,7 @@ from .ifg import (
     to_ifg,
 )
 from .policies import PolicyPair, load_policy, save_policy
-from .training import TrainConfig, train
+from .training import TrainConfig, check_config, train
 
 CONFIG_ERRORS = (GraphLoadError, InfeasibleGraphError, GameBuildError, ValueError, KeyError, OSError)
 
@@ -259,6 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     game = _game_from_config(cfg)
     tcfg = _train_config(cfg, args)
+    check_config(game, tcfg)
     outdir = cfg.get("out", "run")
     if not isinstance(outdir, str):
         raise ConfigError(f"out must be a path string, got {outdir!r}")

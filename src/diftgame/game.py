@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ifg import Ifg, _reach_from
+from .ifg import Ifg, _reach_from, _sccs
 
 
 class GameBuildError(ValueError):
@@ -239,21 +239,6 @@ class Game:
             return "quit"
         return f"{act.kind}:{act.target}"
 
-    def action_from_label(self, player: str, text: str) -> DefAction | AtkAction:
-        if player == "D":
-            if text == "none":
-                return NO_INSPECT
-            kind, _, tgt = text.partition(":")
-            if kind == "inspect" and tgt:
-                return DefAction("inspect", int(tgt))
-        else:
-            if text == "quit":
-                return QUIT
-            kind, _, tgt = text.partition(":")
-            if kind == "move" and tgt:
-                return AtkAction("move", int(tgt))
-        raise InvalidActionError(f"bad action label {text!r} for player {player}")
-
     # -- kernel and rewards -------------------------------------------------
 
     def _require(self, s: int, d: DefAction, a: AtkAction) -> None:
@@ -459,62 +444,14 @@ def classify_chain(P: np.ndarray) -> tuple[list[set[int]], set[int]]:
     rows = P.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-9):
         raise ValueError("P rows must sum to one")
-    adj = [np.flatnonzero(P[s] > 0.0).tolist() for s in range(n)]
-
-    # Iterative Tarjan SCC.
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    closed = [True] * len(comps)
-    for v in range(n):
-        for w in adj[v]:
-            if comp_of[w] != comp_of[v]:
-                closed[comp_of[v]] = False
-    recurrent = [set(comp) for ci, comp in enumerate(comps) if closed[ci]]
+    adj: dict[int, list[int]] = {s: [] for s in range(n)}
+    for s, s2 in zip(*(idx.tolist() for idx in np.nonzero(P > 0.0))):
+        adj[s].append(s2)
+    recurrent = []
+    for comp in _sccs(adj):
+        members = set(comp)
+        if all(w in members for v in comp for w in adj[v]):
+            recurrent.append(members)
     recurrent.sort(key=min)
-    transient = set(range(n)) - set().union(*recurrent) if recurrent else set(range(n))
+    transient = set(range(n)).difference(*recurrent)
     return recurrent, transient

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,10 +65,12 @@ class RawLogGraph:
 
     def adjacency(self) -> dict[int, list[int]]:
         """Deduplicated out-neighbor lists, sorted for determinism."""
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-        return {u: sorted(vs) for u, vs in adj.items()}
+        adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        for u, v in set(self.edges):
+            adj[u].append(v)
+        for vs in adj.values():
+            vs.sort()
+        return adj
 
 
 @dataclass
@@ -87,11 +90,7 @@ class Ifg:
     def stages(self) -> int:
         return len(self.destinations)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-        return adj
+    adjacency = RawLogGraph.adjacency
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes]
@@ -114,8 +113,7 @@ class Ifg:
             raise GraphLoadError("entry/destination ids must be graph nodes")
         if not assert_acyclic(self):
             raise GraphLoadError("graph must be acyclic")
-        raw = RawLogGraph(list(self.nodes), sorted(self.edges))
-        kept = _attack_relevant_nodes(raw, self.entries, self.destinations)
+        kept = _attack_relevant_nodes(self.adjacency(), self.entries, self.destinations)
         extra = idset - kept
         if extra:
             raise GraphLoadError(
@@ -234,6 +232,48 @@ def _reach_from(adj: dict[int, list[int]], sources: set[int]) -> set[int]:
     return out
 
 
+def _sccs(adj: Mapping[int, Iterable[int]]) -> list[list[int]]:
+    """Strongly connected components of ``adj``, sinks first.
+
+    Iterative Tarjan.  Every edge that leaves a component enters one listed
+    earlier, so on an acyclic graph the one-node components come out in
+    reverse topological order.  ``adj`` must have a key for every node.
+    """
+    low: dict[int, int] = {}  # visit index until lowered; `done` once placed
+    done = len(adj)  # above every index, so placed nodes lower no low link
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    for root in adj:
+        if root in low:
+            continue
+        # a frame: node, its unvisited successors, its index, its stack slot
+        work = [(root, iter(adj[root]), len(low), len(stack))]
+        low[root] = len(low)
+        stack.append(root)
+        while work:
+            v, succ, index, pos = work[-1]
+            for w in succ:
+                lw = low.get(w)
+                if lw is None:
+                    work.append((w, iter(adj[w]), len(low), len(stack)))
+                    low[w] = len(low)
+                    stack.append(w)
+                    break
+                if lw < low[v]:
+                    low[v] = lw
+            else:
+                work.pop()
+                if low[v] == index:
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    for w in comp:
+                        low[w] = done
+                    comps.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comps
+
+
 def _reverse(adj: dict[int, list[int]]) -> dict[int, list[int]]:
     rev: dict[int, list[int]] = {u: [] for u in adj}
     for u, vs in adj.items():
@@ -243,7 +283,7 @@ def _reverse(adj: dict[int, list[int]]) -> dict[int, list[int]]:
 
 
 def _attack_relevant_nodes(
-    g: RawLogGraph, entries: set[int], destinations: list[set[int]]
+    adj: dict[int, list[int]], entries: set[int], destinations: list[set[int]]
 ) -> set[int]:
     """Nodes kept by pruning: entries, targets, and flow-path interiors.
 
@@ -251,7 +291,6 @@ def _attack_relevant_nodes(
     entry to a first-stage target, or on a path from a stage-j target to a
     stage-j' target with j != j'.  Path endpoints count.
     """
-    adj = g.adjacency()
     rev = _reverse(adj)
     fwd_entry = _reach_from(adj, entries)
     back_d1 = _reach_from(rev, destinations[0])
@@ -280,7 +319,7 @@ def prune_attack_subgraph(
     first-stage target at all.  Node ids are preserved (not re-densified);
     dense re-indexing happens in :func:`to_ifg`.
     """
-    keep = _attack_relevant_nodes(g, entries, destinations)
+    keep = _attack_relevant_nodes(g.adjacency(), entries, destinations)
     nodes = [n for n in g.nodes if n.id in keep]
     edges = [(u, v) for (u, v) in g.edges if u in keep and v in keep]
     return RawLogGraph(
@@ -339,22 +378,10 @@ def merge_directory_nodes(g: RawLogGraph, groups: dict[str, str]) -> RawLogGraph
 
 
 def assert_acyclic(g: RawLogGraph | Ifg) -> bool:
-    """True when the graph has no directed cycle (Kahn peeling)."""
+    """True when the graph has no directed cycle: every strongly connected
+    component is one node without a self-loop."""
     adj = g.adjacency()
-    indeg = {u: 0 for u in adj}
-    for u, vs in adj.items():
-        for v in vs:
-            indeg[v] += 1
-    queue = [u for u, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == len(adj)
+    return all(len(c) == 1 and c[0] not in adj[c[0]] for c in _sccs(adj))
 
 
 def _closure_pairs(adj: dict[int, list[int]]) -> set[tuple[int, int]]:
@@ -437,20 +464,11 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
 
     # Pass 2: restore reachable pairs the redirects may have broken.
     # reach[r] is a bitset of the roots some version of root r reaches.
-    preds: dict[int, list[int]] = {u: [] for u in out}
-    for u, vs in out.items():
-        for v in vs:
-            preds[v].append(u)
-    indeg = {u: len(ps) for u, ps in preds.items()}
-    topo = [u for u, d in indeg.items() if d == 0]
-    for u in topo:  # Kahn's queue: the list grows while it is walked
-        for v in out[u]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                topo.append(v)
+    # Pass 1 left a DAG, so every component is one node, sinks first.
+    preds = _reverse(out)
     below: dict[int, int] = {}
     reach = dict.fromkeys(adj, 0)
-    for u in reversed(topo):
+    for (u,) in _sccs(out):
         bits = 0
         for v in out[u]:
             bits |= below[v] | 1 << root_of(v)
@@ -549,8 +567,8 @@ def generate_synthetic(
     dests = tuple(dests_per_stage)
     if stages != len(dests):
         raise InfeasibleGraphError("dests_per_stage length must equal stages")
-    if n_entries < 1 or any(d < 1 for d in dests):
-        raise InfeasibleGraphError("need at least one entry and one target per stage")
+    if stages < 1 or n_entries < 1 or any(d < 1 for d in dests):
+        raise InfeasibleGraphError("need at least one stage, one entry and one target per stage")
     if n_nodes < n_entries + sum(dests):
         raise InfeasibleGraphError("n_nodes too small for requested roles")
     if not 0.0 < edge_density <= 1.0:

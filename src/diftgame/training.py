@@ -244,6 +244,11 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     return st
 
 
+def check_config(game: Game, cfg: TrainConfig) -> None:
+    """Validate ``cfg``, checking the exploration floor against ``game``'s largest action set."""
+    cfg.validate(max(map(len, game.actions_d + game.actions_a)))
+
+
 def train(
     target: Game | Env, cfg: TrainConfig
 ) -> tuple[PolicyPair, TrainHistory]:
@@ -265,10 +270,7 @@ def train(
         game = None
         env = target
         env.reset()
-    max_actions = max(
-        max(len(env.actions(s)[0]), len(env.actions(s)[1])) for s in range(env.n_states)
-    )
-    cfg.validate(max_actions)
+    check_config(env._game, cfg)
 
     st = init_trainer(env, cfg)
     hist = TrainHistory()

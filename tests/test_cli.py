@@ -43,6 +43,17 @@ def config_game():
     return build_game(ifg, RewardParams.defaults(2), FnRates(default=0.2))
 
 
+def _criterion5_ifg() -> Ifg:
+    """Two entries feeding twin corridors that merge; three stages."""
+    kinds = ["process", "file", "socket", "other"]
+    return Ifg(
+        [IfgNode(i, kinds[i % 4], f"n{i}") for i in range(10)],
+        {(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (6, 7), (7, 8), (8, 9)},
+        {0, 1},
+        [{6}, {8}, {9}],
+    )
+
+
 class TestGenGraph:
     def test_writes_loadable_graph(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -65,6 +76,23 @@ class TestGenGraph:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-graph", "train", "certify", "compare"])
+    def test_zero_stages_exit_2(self, tmp_path, capsys, command):
+        cfg = {
+            "graph": {"synthetic": {"n_nodes": 6, "stages": 0, "n_entries": 1,
+                                    "dests_per_stage": [], "edge_density": 0.4, "seed": 0}},
+            "train": {"iterations": 10},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        if command in ("certify", "compare"):
+            argv += ["--policy-d", str(tmp_path / "d.json"), "--policy-a", str(tmp_path / "a.json")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "stage" in err
 
 
 class TestPrune:
@@ -326,6 +354,26 @@ class TestTrain:
         path.write_text("{not json")
         rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "train, seed",
+        [({}, ["--seed", "18446744073709551621"]), ({"exploration_floor": 0.5}, [])],
+        ids=["seed", "exploration_floor"],
+    )
+    def test_rejected_run_leaves_no_outdir(self, tmp_path, capsys, train, seed):
+        # A floor of 0.5 is in [0, 1) but too large for the fixture's two-action
+        # states; only the game's action sets can tell.
+        save_graph(_criterion5_ifg(), str(tmp_path / "g.json"))
+        cfg = {
+            "graph": {"file": str(tmp_path / "g.json")},
+            "train": {"iterations": 100, **train},
+        }
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        outdir = tmp_path / "outdir"
+        rc = main(["train", "--config", str(tmp_path / "c.json"), "--out", str(outdir), *seed])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert not outdir.exists()
 
 
 def _paths(node, prefix=()):

@@ -450,6 +450,10 @@ class TestGenerateSynthetic:
         with pytest.raises(InfeasibleGraphError):
             generate_synthetic(8, 1, 1, (1,), 0.0, seed=0)
 
+    def test_zero_stages_rejected(self):
+        with pytest.raises(InfeasibleGraphError, match="stage"):
+            generate_synthetic(8, 0, 1, (), 0.3, seed=0)
+
     def test_invariants_hold_across_seeds(self):
         for seed in range(100):
             ifg = generate_synthetic(10, 3, 2, (1, 1, 1), 0.25, seed=seed)

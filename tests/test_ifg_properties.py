@@ -3,23 +3,29 @@
 Reachability is checked against ``networkx.transitive_closure``, an oracle
 written independently of the package (networkx is a test-only dependency).
 The graph file format is checked by round trips through ``save_graph`` and
-``load_graph``.
+``load_graph``.  The one strongly-connected-component routine, ``_sccs``,
+and its users ``assert_acyclic`` and ``classify_chain`` are checked against
+networkx's components, DAG test and attracting components.
 """
 
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from diftgame.game import classify_chain  # noqa: E402
 from diftgame.ifg import (  # noqa: E402
     NODE_KINDS,
     Ifg,
     IfgNode,
     RawLogGraph,
+    _sccs,
+    assert_acyclic,
     collapse_multi_edges,
     load_graph,
     merge_directory_nodes,
@@ -117,3 +123,72 @@ def test_save_load_round_trip(g):
     assert back.self_loops_dropped == sum(u == v for u, v in g.edges)
     assert back.entries == g.entries
     assert back.destinations == g.destinations
+
+
+@st.composite
+def digraphs(draw):
+    """Out-neighbor lists on 1-12 sparse, unordered node ids; self-loops,
+    parallel edges and cycles all occur."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    node = st.sampled_from(ids)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * len(ids)))
+    adj: dict[int, list[int]] = {u: [] for u in ids}
+    for u, v in edges:
+        adj[u].append(v)
+    return adj
+
+
+def nx_digraph(adj):
+    g = nx.DiGraph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((u, v) for u, vs in adj.items() for v in vs)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_sccs_partition_matches_networkx(adj):
+    comps = _sccs(adj)
+    assert sum(map(len, comps)) == len(adj)
+    assert {frozenset(c) for c in comps} == {
+        frozenset(c) for c in nx.strongly_connected_components(nx_digraph(adj))
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_sccs_lists_sinks_first(adj):
+    listed = {v: i for i, comp in enumerate(_sccs(adj)) for v in comp}
+    assert all(listed[v] <= listed[u] for u, vs in adj.items() for v in vs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_assert_acyclic_matches_networkx(adj):
+    g = RawLogGraph([IfgNode(u, "process", f"x{u}") for u in adj],
+                    [(u, v) for u, vs in adj.items() for v in vs])
+    assert assert_acyclic(g) == nx.is_directed_acyclic_graph(nx_digraph(adj))
+
+
+@st.composite
+def sparse_chains(draw):
+    """Row-stochastic matrices on 1-10 states, 1-3 positive entries a row."""
+    n = draw(st.integers(1, 10))
+    P = np.zeros((n, n))
+    for s in range(n):
+        cols = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(cols), max_size=len(cols))))
+        P[s, cols] = w / w.sum()
+    return P
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_chains())
+def test_classify_chain_matches_attracting_components(P):
+    rec, trans = classify_chain(P)
+    support = nx.DiGraph()
+    support.add_nodes_from(range(len(P)))
+    support.add_edges_from(zip(*np.nonzero(P)))
+    want = sorted((set(c) for c in nx.attracting_components(support)), key=min)
+    assert rec == want
+    assert trans == set(range(len(P))).difference(*want)

@@ -71,7 +71,7 @@ print("  kept:", sorted(n.label for n in g.nodes))
 # redirected to a fresh copy "helper#1", preserving which nodes can
 # taint which while making the graph acyclic.
 g = remove_cycles_by_versioning(g)
-assert_acyclic(g)
+assert assert_acyclic(g)
 print(f"after version:  {len(g.nodes)} nodes, {len(g.edges)} edges")
 print("  versions:", sorted(n.label for n in g.nodes if n.origin is not None))
 

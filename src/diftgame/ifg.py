@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 
@@ -111,9 +112,10 @@ class Ifg:
             raise GraphLoadError("at least one entry node is required")
         if not (self.entries <= idset and all_dests <= idset):
             raise GraphLoadError("entry/destination ids must be graph nodes")
-        if not assert_acyclic(self):
+        adj = self.adjacency()
+        if not _acyclic(adj):
             raise GraphLoadError("graph must be acyclic")
-        kept = _attack_relevant_nodes(self.adjacency(), self.entries, self.destinations)
+        kept = _attack_relevant_nodes(adj, self.entries, self.destinations)
         extra = idset - kept
         if extra:
             raise GraphLoadError(
@@ -380,16 +382,48 @@ def merge_directory_nodes(g: RawLogGraph, groups: dict[str, str]) -> RawLogGraph
 def assert_acyclic(g: RawLogGraph | Ifg) -> bool:
     """True when the graph has no directed cycle: every strongly connected
     component is one node without a self-loop."""
-    adj = g.adjacency()
+    return _acyclic(g.adjacency())
+
+
+def _acyclic(adj: dict[int, list[int]]) -> bool:
     return all(len(c) == 1 and c[0] not in adj[c[0]] for c in _sccs(adj))
 
 
-def _closure_pairs(adj: dict[int, list[int]]) -> set[tuple[int, int]]:
-    pairs = set()
-    for u in adj:
-        for v in _reach_from(adj, {u}) - {u}:
-            pairs.add((u, v))
-    return pairs
+def _closure(adj: dict[int, list[int]]) -> dict[int, int]:
+    """For each node, the bitset of the other nodes it reaches.
+
+    Folded over the components sinks first: a component reaches the heads
+    of its members' out-edges and all they reach.  Those heads include
+    every member of a nontrivial component, since each has an in-edge from
+    another member.  A node is never in its own bitset, even on a cycle.
+    """
+    closure: dict[int, int] = {}
+    for comp in _sccs(adj):
+        bits = 0
+        for u in comp:
+            for v in adj[u]:
+                bits |= closure.get(v, 0) | 1 << v
+        for u in comp:
+            closure[u] = bits & ~(1 << u)
+    return closure
+
+
+def _bfs_parents(adj: dict[int, list[int]], src: int) -> dict[int, int]:
+    """Breadth-first parent of every node ``src`` reaches (``src`` its own).
+
+    Walking the parents back from ``dst`` gives the shortest path a BFS
+    that stops on first reaching ``dst`` would find: a parent is set once,
+    when its node is first reached, so stopping early changes none of them.
+    """
+    prev = {src: src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in prev:
+                prev[v] = u
+                queue.append(v)
+    return prev
 
 
 def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
@@ -404,11 +438,17 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     following an existing out-edge where one leads to the next node's
     versions and growing a chain of fresh versions from the first node where
     none does.  New edges always point at brand-new nodes, so acyclicity is
-    preserved by construction.  Which roots each root's versions reach is
-    computed once after pass 1 (descendant bitsets, folded in reverse
-    topological order) and then updated per repair: the chain's start and
-    its ancestors gain the chain's roots, and each chain node's root gains
-    those of the nodes after it.
+    preserved by construction.  The input's reachable pairs come from one
+    closure bitset per node; sources are taken in ascending order, and each
+    source's missing targets in ascending order, re-tested before each
+    repair, which is the sorted pair order because repairs only add
+    reachability.  The shortest paths from one source all come from one
+    breadth-first parent map, built at its first missing pair.  Every node
+    keeps the bitset of roots its descendants have, folded sinks first after
+    pass 1 and kept exact per repair: each chain node gains the roots after
+    it, and the chain's start and its ancestors gain the chain's roots, the
+    walk up stopping at any node that already has them, since its ancestors
+    have them too.  A root's versions reach the union of their bitsets.
 
     Entries and destination sets are extended with the versions of their
     members: a version copy stands for the same system entity.
@@ -441,19 +481,16 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     version_count: dict[int, int] = {}
     nodes = list(g.nodes)
     out: dict[int, set[int]] = {u: set(vs) for u, vs in adj.items()}
-
-    def root_of(nid: int) -> int:
-        n = by_id[nid]
-        return n.origin if n.origin is not None else n.id
+    root = {n.id: n.origin if n.origin is not None else n.id for n in g.nodes}
 
     def new_version(orig: int) -> int:
         nonlocal next_id
         base = by_id[orig]
         k = version_count.get(orig, 0) + 1
         version_count[orig] = k
-        node = IfgNode(next_id, base.kind, f"{base.label}#{k}", origin=root_of(orig))
+        node = IfgNode(next_id, base.kind, f"{base.label}#{k}", origin=root[orig])
         nodes.append(node)
-        by_id[node.id] = node
+        root[node.id] = root[orig]
         out[node.id] = set()
         next_id += 1
         return node.id
@@ -463,71 +500,66 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
         out[u].add(new_version(v))
 
     # Pass 2: restore reachable pairs the redirects may have broken.
-    # reach[r] is a bitset of the roots some version of root r reaches.
-    # Pass 1 left a DAG, so every component is one node, sinks first.
+    # below[u] is a bitset of the roots of u's descendants; reach[r] is the
+    # union of below over the versions of root r.  Pass 1 left a DAG, so
+    # every component is one node, sinks first.
     preds = _reverse(out)
     below: dict[int, int] = {}
     reach = dict.fromkeys(adj, 0)
     for (u,) in _sccs(out):
         bits = 0
         for v in out[u]:
-            bits |= below[v] | 1 << root_of(v)
+            bits |= below[v] | 1 << root[v]
         below[u] = bits
-        reach[root_of(u)] |= bits
+        reach[root[u]] |= bits
 
-    # Repairs only add reachability, so the smallest missing pair is always
-    # the next one in sorted order that is still missing.
-    for x, y in sorted(_closure_pairs(adj)):
-        if reach[x] >> y & 1:
-            continue
-        path = _shortest_path(adj, x, y)
-        cur = x
-        chain: list[int] = []
-        for q in path[1:]:
-            cand = [w for w in out[cur] if root_of(w) == q]
-            if cand:
-                cur = max(cand)
-            else:
-                nxt = new_version(q)
-                out[cur].add(nxt)
-                preds[nxt] = [cur]
-                chain.append(nxt)
-                cur = nxt
-        gained = 0
-        for n in reversed(chain):
-            reach[root_of(n)] |= gained
-            gained |= 1 << root_of(n)
-        if chain:  # the chain's start and all its ancestors gain the chain
-            for u in _reach_from(preds, set(preds[chain[0]])):
-                reach[root_of(u)] |= gained
-        if not reach[x] >> y & 1:
-            raise InfeasibleGraphError(f"cycle removal failed to restore {x} -> {y}")
+    closure = _closure(adj)
+    for x in sorted(adj):
+        missing = closure[x] & ~reach[x]
+        prev = _bfs_parents(adj, x) if missing else {}
+        while missing:
+            low = missing & -missing
+            missing ^= low
+            y = low.bit_length() - 1
+            if reach[x] >> y & 1:
+                continue
+            path = [y]
+            while path[-1] != x:
+                path.append(prev[path[-1]])
+            cur = x
+            chain: list[int] = []
+            for q in reversed(path[:-1]):
+                cand = [w for w in out[cur] if root[w] == q]
+                if cand:
+                    cur = max(cand)
+                else:
+                    nxt = new_version(q)
+                    out[cur].add(nxt)
+                    preds[nxt] = [cur]
+                    chain.append(nxt)
+                    cur = nxt
+            gained = 0
+            for n in reversed(chain):
+                below[n] = gained
+                reach[root[n]] |= gained
+                gained |= 1 << root[n]
+            if chain:  # the chain's start and its ancestors gain the chain
+                stack = list(preds[chain[0]])
+                while stack:
+                    u = stack.pop()
+                    if below[u] & gained != gained:
+                        below[u] |= gained
+                        reach[root[u]] |= gained
+                        stack.extend(preds[u])
+            if not reach[x] >> y & 1:
+                raise InfeasibleGraphError(f"cycle removal failed to restore {x} -> {y}")
 
     edges = sorted((u, v) for u, vs in out.items() for v in vs)
-    entries = {n.id for n in nodes if root_of(n.id) in g.entries}
+    entries = {n.id for n in nodes if root[n.id] in g.entries}
     destinations = [
-        {n.id for n in nodes if root_of(n.id) in d} for d in g.destinations
+        {n.id for n in nodes if root[n.id] in d} for d in g.destinations
     ]
     return RawLogGraph(nodes, edges, entries, destinations, g.self_loops_dropped)
-
-
-def _shortest_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
-    prev = {src: src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    if v == dst:
-                        path = [v]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(v)
-        frontier = nxt
-    raise ValueError(f"no path {src} -> {dst}")
 
 
 def to_ifg(g: RawLogGraph) -> Ifg:

@@ -342,7 +342,11 @@ def golden_input(seed):
     random edges, so parallel edges and cycles occur), collapsed and pruned;
     odd seeds also merge the /var/log/ file nodes into one."""
     rng = np.random.default_rng([2026, seed])
-    n = int(rng.integers(15, 27))
+    return golden_graph(rng, int(rng.integers(15, 27)), seed % 2)
+
+
+def golden_graph(rng, n, merge):
+    """golden_input's recipe on ``n`` raw nodes drawn from ``rng``."""
     kinds = ["process", "file", "socket"]
     spine = [int(x) for x in rng.permutation(n)[: max(3, n // 2)]]
     entry, mid, last = spine[0], spine[len(spine) // 2], spine[-1]
@@ -357,7 +361,7 @@ def golden_input(seed):
     edges = [(u, v) for u, v in edges if u != v]
     g = collapse_multi_edges(RawLogGraph(nodes, edges, {entry}, [{mid}, {last}]))
     g = prune_attack_subgraph(g, g.entries, g.destinations)
-    if seed % 2:
+    if merge:
         g = merge_directory_nodes(g, {"/var/log/": "/var/log/*"})
     return g
 
@@ -405,6 +409,28 @@ class TestVersioningGolden:
     def test_output_bytes_unchanged(self, seed):
         out = remove_cycles_by_versioning(golden_input(seed))
         assert graph_digest(out) == GOLDEN_VERSIONING[seed]
+
+
+# sha256 of remove_cycles_by_versioning(golden_graph(rng([2026, n, seed]), n,
+# seed % 2)) on n raw nodes (74-236 after pruning, 386-7631 versioned): enough
+# repairs to exercise the pruned ancestor walk and one source's breadth-first
+# parent map serving many missing pairs.
+GOLDEN_VERSIONING_AT_SCALE = {
+    (80, 0): "c7a8a09b92521d3e7933a81b8eb2329f8be32e73e4c10a79fa70a205c9f4584b",
+    (80, 1): "ac86f583916d9a5bb30da9f9c090240b2bc83cbfeac475e1e6b5fc9cfd33d3ba",
+    (160, 0): "1a80b86c1fbec4676a0006e8e29aa2d12a7cb37c63b3fb3510ea38d7a0e64ef4",
+    (160, 1): "1f35b00426c87ebc1c4737ed5ff0d239c090273472e4d6be0fb4154e3968de5e",
+    (320, 0): "2d04a98120b47cc009d5fe1b5d062a22b0f57ce54200cb19b65912ca16aaeb1f",
+    (320, 1): "235dac51faacae3013c55e96dd12cb441ddceef55faad9cd39a54c40e7717646",
+}
+
+
+class TestVersioningGoldenAtScale:
+    @pytest.mark.parametrize("n, seed", sorted(GOLDEN_VERSIONING_AT_SCALE))
+    def test_output_bytes_unchanged(self, n, seed):
+        g = golden_graph(np.random.default_rng([2026, n, seed]), n, seed % 2)
+        out = remove_cycles_by_versioning(g)
+        assert graph_digest(out) == GOLDEN_VERSIONING_AT_SCALE[n, seed]
 
 class TestToIfg:
     def test_dense_reindex_after_prune(self):

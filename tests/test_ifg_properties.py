@@ -4,8 +4,9 @@ Reachability is checked against ``networkx.transitive_closure``, an oracle
 written independently of the package (networkx is a test-only dependency).
 The graph file format is checked by round trips through ``save_graph`` and
 ``load_graph``.  The one strongly-connected-component routine, ``_sccs``,
-and its users ``assert_acyclic`` and ``classify_chain`` are checked against
-networkx's components, DAG test and attracting components.
+and its users ``assert_acyclic``, ``_closure`` and ``classify_chain`` are
+checked against networkx's components, DAG test, transitive closure and
+attracting components.
 """
 
 import os
@@ -24,6 +25,7 @@ from diftgame.ifg import (  # noqa: E402
     Ifg,
     IfgNode,
     RawLogGraph,
+    _closure,
     _sccs,
     assert_acyclic,
     collapse_multi_edges,
@@ -168,6 +170,14 @@ def test_assert_acyclic_matches_networkx(adj):
     g = RawLogGraph([IfgNode(u, "process", f"x{u}") for u in adj],
                     [(u, v) for u, vs in adj.items() for v in vs])
     assert assert_acyclic(g) == nx.is_directed_acyclic_graph(nx_digraph(adj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_closure_matches_networkx(adj):
+    # networkx pairs a node on a cycle with itself; the bitsets never do
+    tc = nx.transitive_closure(nx_digraph(adj), reflexive=False)
+    assert _closure(adj) == {u: sum(1 << v for v in tc[u] if v != u) for u in adj}
 
 
 @st.composite

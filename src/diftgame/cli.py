@@ -81,13 +81,21 @@ def _object(value: object, what: str) -> dict:
 
 
 def _pair_keys(raw: object, what: str) -> dict[tuple[int, int], float]:
-    """Parse {"node,stage": value} override maps."""
-    out = {}
+    """Parse {"node,stage": value} override maps.  Two keys that name the
+    same pair (``"1,2"`` and ``" 1,2"`` or ``"01,2"``) are an error, not a
+    silent last-one-wins."""
+    out, keys = {}, {}
     for key, val in _object(raw, what).items():
         try:
             node, stage = (int(x) for x in key.split(","))
         except ValueError as exc:
             raise ConfigError(f"{what} key {key!r} is not 'node,stage'") from exc
+        if (node, stage) in keys:
+            raise ConfigError(
+                f"{what} keys {keys[node, stage]!r} and {key!r} "
+                f"both name node {node}, stage {stage}"
+            )
+        keys[node, stage] = key
         out[(node, stage)] = _number(val, f"{what}[{key!r}]")
     return out
 

@@ -165,7 +165,8 @@ class Kernel(NamedTuple):
     """Every outcome of every joint action, one array entry per outcome,
     ordered by (state, defender action, intruder action).  The outcomes of
     the j-th joint action in that order are entries first[j] to
-    first[j + 1] - 1."""
+    first[j + 1] - 1.  :func:`build_game` derives these arrays from the
+    :class:`Cases` table by index arithmetic."""
 
     s: np.ndarray
     d: np.ndarray
@@ -174,6 +175,25 @@ class Kernel(NamedTuple):
     p: np.ndarray
     r: np.ndarray  # payoffs of D (row 0) and A (row 1)
     first: np.ndarray  # per joint action, plus the entry count
+
+
+class Cases(NamedTuple):
+    """The kernel factored by defender case, one array entry per outcome.
+
+    The defender cannot see where the flow moves, so an outcome depends on
+    its action only through the case: idle (0), inspecting another
+    successor (1) or inspecting the intruder's target (2).  States whose
+    defender can only idle have case 0 alone, and a quit has no case 2.
+    The cases of the k-th intruder action, counting through the states in
+    order, are numbers ``first[k]`` to ``first[k + 1] - 1``; the outcomes
+    of case c are entries ``out[c]`` to ``out[c + 1] - 1``.
+    """
+
+    first: np.ndarray  # per intruder action, plus the case count
+    out: np.ndarray  # per case, plus the entry count
+    nxt: np.ndarray
+    p: np.ndarray
+    r: np.ndarray  # payoffs of D (row 0) and A (row 1)
 
 
 class Marginal(NamedTuple):
@@ -200,7 +220,8 @@ class Marginal(NamedTuple):
 
 @dataclass
 class Game:
-    """Built game: dense state indexing, per-state action sets, kernel."""
+    """Built game: dense state indexing, per-state action sets, case table
+    and kernel."""
 
     ifg: Ifg
     params: RewardParams
@@ -213,6 +234,7 @@ class Game:
     actions_a: list[tuple[AtkAction, ...]]
     reachable: np.ndarray  # reachable from the root in the game graph
     kernel: Kernel = field(repr=False, default=None)  # type: ignore[assignment]
+    cases: Cases = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
     def n_states(self) -> int:
@@ -249,36 +271,39 @@ class Game:
         if a not in self.actions_a[s]:
             raise InvalidActionError(f"intruder action {a} unavailable at {self.state_label(s)}")
 
-    def _rule(self, s: int, d: DefAction, a: AtkAction) -> list[tuple[int, float, float, float]]:
-        """(s', p, r_d, r_a) for each outcome of an available joint action."""
+    def _rule(self, s: int, case: int, a: AtkAction) -> list[tuple[int, float, float, float]]:
+        """(s', p, r_d, r_a) for each outcome of intruder action ``a`` at s
+        under defender case ``case`` (see :class:`Cases`)."""
         j = int(self.stage_of[s]) - 1
         p = self.params
-        cost = float(self.cost_d[s])
-        inspects = d.kind == "inspect"
+        cost = float(self.cost_d[s]) if case else 0.0
         if a.kind == "quit":
-            return [(ROOT, 1.0, p.sigma_d[j] + (cost if inspects else 0.0), p.sigma_a[j])]
+            return [(ROOT, 1.0, p.sigma_d[j] + cost, p.sigma_a[j])]
         t = a.target
         # payoffs when the flow arrives at t uncaught
         hit = bool(self.is_dest[t]) and int(self.stage_of[t]) == j + 1
-        if hit and (not inspects or not p.strict_table):
+        if hit and (not case or not p.strict_table):
             arrive = (p.beta_d[j], p.beta_a[j])
         else:
-            arrive = (cost if inspects and d.target != t else 0.0, p.beta_a[j] if hit else 0.0)
-        if not inspects or d.target != t:
+            arrive = (cost if case == 1 else 0.0, p.beta_a[j] if hit else 0.0)
+        if case != 2:
             return [(t, 1.0, *arrive)]
         miss = float(self.fn[t])
         caught = (ROOT, 1.0 - miss, p.alpha_d[j] + cost, p.alpha_a[j])
         return [caught] if miss == 0.0 else [(t, miss, *arrive), caught]
 
+    def _joint_rule(self, s: int, d: DefAction, a: AtkAction) -> list[tuple]:
+        self._require(s, d, a)
+        case = 0 if d.kind == "none" else 2 if d.target == a.target else 1
+        return self._rule(s, case, a)
+
     def transition_dist(self, s: int, d: DefAction, a: AtkAction) -> list[tuple[int, float]]:
         """Support of the next-state distribution as (state, probability) pairs."""
-        self._require(s, d, a)
-        return [(s2, p) for s2, p, _, _ in self._rule(s, d, a)]
+        return [(s2, p) for s2, p, _, _ in self._joint_rule(s, d, a)]
 
     def reward(self, s: int, d: DefAction, a: AtkAction, s_next: int) -> tuple[float, float]:
         """One-step payoffs (defender, intruder) for a realized transition."""
-        self._require(s, d, a)
-        for s2, _, r_d, r_a in self._rule(s, d, a):
+        for s2, _, r_d, r_a in self._joint_rule(s, d, a):
             if s2 == s_next:
                 return r_d, r_a
         raise InvalidActionError(
@@ -290,18 +315,29 @@ class Game:
     def outcome_table(self) -> list[list[list[tuple]]]:
         """The kernel as plain Python values (sampling loops need floats, not
         numpy scalars): a tuple of (s', p, r_d, r_a) outcomes per joint
-        action, indexed [s][di][ai].  Built on first use; equal tuples are
-        stored once, as most joint actions share their outcomes with others
-        at the same state."""
-        k = self.kernel
+        action, indexed [s][di][ai].  Built on first use from the
+        :class:`Cases` table: a state's idle row, then per inspection of
+        successor i a copy of its "other" row whose slot i holds the "same"
+        case.  Equal tuples are stored once, as most joint actions share
+        their outcomes with others at the same state."""
+        c = self.cases
         shared: dict = {}
-        rows = [shared.setdefault(r, r) for r in zip(k.nxt.tolist(), k.p.tolist(), *k.r.tolist())]
-        joint = (tuple(rows[i:j]) for i, j in itertools.pairwise(k.first.tolist()))
-        outs = (shared.setdefault(o, o) for o in joint)
-        return [
-            [list(itertools.islice(outs, len(acts_a))) for _ in acts_d]
-            for acts_d, acts_a in zip(self.actions_d, self.actions_a)
-        ]
+        rows = [shared.setdefault(r, r) for r in zip(c.nxt.tolist(), c.p.tolist(), *c.r.tolist())]
+        outs = (tuple(rows[i:j]) for i, j in itertools.pairwise(c.out.tolist()))
+        outs = [shared.setdefault(o, o) for o in outs]
+        by_action = (outs[i:j] for i, j in itertools.pairwise(c.first.tolist()))
+        table = []
+        for acts_d, acts_a in zip(self.actions_d, self.actions_a):
+            cases = list(itertools.islice(by_action, len(acts_a)))
+            state_rows = [[x[0] for x in cases]]
+            if len(acts_d) > 1:
+                other = [x[1] for x in cases]
+                for i in range(len(acts_d) - 1):
+                    row = other.copy()
+                    row[i] = cases[i][2]
+                    state_rows.append(row)
+            table.append(state_rows)
+        return table
 
     def outcomes(self, s: int, di: int, ai: int) -> tuple[tuple[int, float, float, float], ...]:
         """(s', p, r_d, r_a) of each outcome of the action indices (di, ai) at s."""
@@ -367,6 +403,9 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
         is_dest[s] = i in ifg.destinations[j - 1]
         if i not in ifg.entries and i not in dest_all:
             cost_d[s] = params.cost_overrides.get((i, j), params.cost_d_per_stage[j - 1])
+    # -0.0 + 0.0 is 0.0, so a free inspection pays +0.0: outcome_table keeps
+    # one of each group of equal tuples, and -0.0 == 0.0
+    cost_d += 0.0
     for key in params.cost_overrides:
         i, j = key
         if not (0 <= i < n_nodes and 1 <= j <= M):
@@ -410,24 +449,43 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
         reachable=np.zeros(n, dtype=bool),
     )
 
-    entries = (
-        (s, di, ai, *o)
-        for s in range(n)
-        for di, d in enumerate(actions_d[s])
-        for ai, a in enumerate(actions_a[s])
-        for o in game._rule(s, d, a)
-    )
-    cols = np.fromiter(itertools.chain.from_iterable(entries), float).reshape(-1, 7).T
-    s_col, d_col, a_col, nxt_col = cols[:4].astype(int)
-    n_d, n_a = (np.array([len(x) for x in acts]) for acts in (actions_d, actions_a))
-    joint = np.cumsum([0, *(n_d * n_a)])
-    # entries are sorted by joint-action number, and every joint action has one
-    first = np.searchsorted(joint[s_col] + d_col * n_a[s_col] + a_col, np.arange(joint[-1] + 1))
-    game.kernel = Kernel(s_col, d_col, a_col, nxt_col, cols[4].copy(), cols[5:].copy(), first)
+    # The rule runs once per (state, intruder action, defender case)
+    rule = game._rule
+    n_cases, n_outs, outs = [], [], []
+    for s in range(n):
+        multi = len(actions_d[s]) > 1
+        for a in actions_a[s]:
+            cases = (0, 1, 2) if multi and a.kind == "move" else (0, 1) if multi else (0,)
+            n_cases.append(len(cases))
+            for case in cases:
+                o = rule(s, case, a)
+                n_outs.append(len(o))
+                outs += o
+    cols = np.fromiter(itertools.chain.from_iterable(outs), float).reshape(-1, 4).T
+    case_first, out_first = (np.cumsum([0, *x]) for x in (n_cases, n_outs))
+    c = Cases(case_first, out_first, cols[0].astype(int), cols[1].copy(), cols[2:].copy())
+    game.cases = c
 
-    nexts: dict[int, list[int]] = {}
-    for s, s2 in zip(s_col.tolist(), nxt_col.tolist()):
-        nexts.setdefault(s, []).append(s2)
+    # Joint action j at state s is (di, ai) = divmod(j - joint[s], n_a[s]).
+    # Its case is 0 when idle, 2 when inspecting the move's target, else 1,
+    # and its outcomes are copies of that case's.
+    n_d, n_a = (np.array([len(x) for x in acts]) for acts in (actions_d, actions_a))
+    first_a = np.cumsum([0, *n_a.tolist()])
+    joint = np.cumsum([0, *(n_d * n_a).tolist()])
+    s_j = np.repeat(np.arange(n), n_d * n_a)
+    d_j, a_j = np.divmod(np.arange(joint[-1]) - joint[s_j], n_a[s_j])
+    c_j = case_first[first_a[s_j] + a_j] + np.where(d_j == 0, 0, np.where(d_j - 1 == a_j, 2, 1))
+    count = np.array(n_outs)[c_j]
+    first = np.zeros(joint[-1] + 1, dtype=int)
+    np.cumsum(count, out=first[1:])
+    # the case-table entry behind each kernel entry
+    src = np.repeat(out_first[c_j] - first[:-1], count) + np.arange(first[-1])
+    s_e, d_e, a_e = (np.repeat(x, count) for x in (s_j, d_j, a_j))
+    game.kernel = Kernel(s_e, d_e, a_e, c.nxt[src], c.p[src], c.r.take(src, axis=1), first)
+
+    nxt = c.nxt.tolist()
+    bounds = itertools.pairwise(out_first[case_first[first_a]].tolist())
+    nexts = {s: nxt[i:j] for s, (i, j) in enumerate(bounds)}
     game.reachable[list(_reach_from(nexts, {ROOT}))] = True
     return game
 

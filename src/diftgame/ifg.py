@@ -294,15 +294,13 @@ def _attack_relevant_nodes(
     stage-j' target with j != j'.  Path endpoints count.
     """
     rev = _reverse(adj)
-    fwd_entry = _reach_from(adj, entries)
-    back_d1 = _reach_from(rev, destinations[0])
-    keep = fwd_entry & back_d1
+    back_d = [_reach_from(rev, d) for d in destinations]
+    keep = _reach_from(adj, entries) & back_d[0]
     if not keep & destinations[0] or not keep & entries:
         raise InfeasibleGraphError(
             "no flow path from any entry to a first-stage target: attack infeasible"
         )
     fwd_d = [_reach_from(adj, d) for d in destinations]
-    back_d = [_reach_from(rev, d) for d in destinations]
     for j in range(len(destinations)):
         for jp in range(len(destinations)):
             if j != jp:

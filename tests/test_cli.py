@@ -333,6 +333,33 @@ class TestTrain:
         assert rc == 2, err
         assert path[-1] in err
 
+    @pytest.mark.parametrize(
+        "section, keys",
+        [("fn", ("2,1", " 2,1")), ("params", ("2,1", "02,1"))],
+        ids=["fn.overrides", "params.cost_overrides"],
+    )
+    def test_duplicate_override_keys_exit_2(self, tmp_path, capsys, section, keys):
+        # both keys parse to node 2, stage 1 (chargeable on this graph), so
+        # without the check the last one would silently win
+        save_graph(_criterion5_ifg(), str(tmp_path / "g.json"))
+        p = RewardParams.defaults(3)
+        fields = ("alpha_d", "beta_d", "sigma_d", "alpha_a", "beta_a", "sigma_a", "cost_d_per_stage")
+        cfg = {
+            "graph": {"file": str(tmp_path / "g.json")},
+            "params": {f: list(getattr(p, f)) for f in fields},
+            "fn": {"default": 0.2},
+            "train": {"iterations": 100},
+        }
+        if section == "fn":
+            cfg["fn"]["overrides"] = dict(zip(keys, (0.1, 0.3)))
+        else:
+            cfg["params"]["cost_overrides"] = dict(zip(keys, (-1.5, -2.0)))
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert all(repr(k) in err for k in keys), err
+
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 + 5])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_out_of_range_seed_exit_2(self, tmp_path, config, capsys, seed, via):

@@ -5,6 +5,7 @@ payoff rules on small fixtures and frozen here.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -489,3 +490,67 @@ class TestReachability:
                 for ai in range(len(g.actions_a[s])):
                     for s2, _, _, _ in g.outcomes(s, di, ai):
                         assert g.reachable[s2]
+
+
+class TestKernelGolden:
+    # sha256 of each Kernel field (dtype, shape and bytes) and of
+    # repr(outcome_table), recorded while build_game still applied the rule
+    # once per joint action.  "learn" is the criterion-5 fixture; the sizes
+    # are generate_synthetic(n, 3, 2, (1, 1, 1), 0.1, 1) games.
+    DIGESTS = {
+        "learn": {
+            "s": "fa24648ce68f9859942fd8bbdcf69ca74d683fcd44c6a727170ed865f7f0278a",
+            "d": "f1485d6fac39f3da499cd69de80f4cb9a695a9b84123750a47608609648fefa0",
+            "a": "676e8ccd22650926f3c83b8b0c40eb81fead83fc69c00f6d8c07cd757b626bfc",
+            "nxt": "f022f730a681ea98e75417ac65cc03a2f9ea77a0f613e72546e2bcd919a0f324",
+            "p": "0a5d6a1659d91cc6003f77a2a0a499d93cc15f17b91e868dccafee86cb5dd45b",
+            "r": "fec1433939523cb80f7c49bcdc8ef3da93091829ff9b02f8c3f9323f329197cd",
+            "first": "0b851db094417c6f5bd9475ed9788967b770cc798b74cccdfdfbad5864a2ef34",
+            "outcome_table": "a4e5c3b89aa4a5b001471f0f5fb0aa3c5cbf740bae71fcd41684c231a0c6eb74",
+        },
+        160: {
+            "s": "1bffdf1d2f8671c614661a3016e5f969c51efdc6df0afdc28c5a4fb694e59cd1",
+            "d": "93f4ccfe5c61a3042950fca9b9135cc716e05f0a8245f0d73e1fee6600cddb8b",
+            "a": "f370d4aab33b858107c97fb0026b410075c5f6f4f3e8d27f039c4b382f72b0f4",
+            "nxt": "185d4663f39938243f22abebb4ce9c9c61b3ff577b7e2e0130ee8c88235ca1b7",
+            "p": "88ac78533f1a9ab8caaf3206ca513b93df1752a519bc423af05793b28a8a7b3d",
+            "r": "50d0460831121c235a405a7a85ce1f49501ddbdeffd38b61c289edb39ee75c43",
+            "first": "a76b6a87af70148f0c530dc1cb821ff1ace0605ea678db88d29a49611da3cff9",
+            "outcome_table": "04e4f2923b81b3951a1a5151663d7698279cf76ddc8a50601c009b47e2c08e20",
+        },
+        320: {
+            "s": "553608d62f8ae0ceda8d6e3f53d46d822a5fb5236b379128d7ca983502eca667",
+            "d": "22f0d50fd27bcc0148d12ca8b6cd232c7076e5dd6ec7285d3a73f986f3e6b413",
+            "a": "d6936d3214365ffe0fa045b412e5b8800f469d92a332c767c4ba46303c76f9ad",
+            "nxt": "c32d88e8a6e149cf3347461a08354110a3ae6fdf1dfbd1c1016516723a61eb12",
+            "p": "571330f51aa86b99afa3f552fb99ef812da3c1c0b8cfe29e14b0b91ab7c8e4b7",
+            "r": "47f3b4463d925b702ce815a0a549d1a6845f89e0413957d467a48e4000da01ba",
+            "first": "de4a10bd22719aa19aba374a0f189a1f015154cff8a131674ae560f1e1337cf2",
+            "outcome_table": "8c98a89f68128fbc023ea10f1d822ed04c49b0771f44ecf688f018dce66c04d7",
+        },
+    }
+
+    @staticmethod
+    def build(which):
+        if which == "learn":
+            kinds = ["process", "file", "socket", "other"]
+            ifg = make_ifg(
+                10,
+                [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (6, 7), (7, 8), (8, 9)],
+                [0, 1],
+                [[6], [8], [9]],
+                kinds=[kinds[i % 4] for i in range(10)],
+            )
+        else:
+            ifg = generate_synthetic(which, 3, 2, (1, 1, 1), 0.1, 1)
+        return build_game(ifg, RewardParams.defaults(3), FnRates(0.2))
+
+    @pytest.mark.parametrize("which", ["learn", 160, 320])
+    def test_kernel_and_outcome_table_digests(self, which):
+        g = self.build(which)
+        got = {
+            f: hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+            for f, a in g.kernel._asdict().items()
+        }
+        got["outcome_table"] = hashlib.sha256(repr(g.outcome_table).encode()).hexdigest()
+        assert got == self.DIGESTS[which]

@@ -1,9 +1,10 @@
 """Exact evaluation and equilibrium certification for the inspection game.
 
 These routines never sample.  Each one fixes one player's mixture and
-reads the kernel through :meth:`Game.marginalize`, which sums the opponent
-out and leaves per-(state, own action) rows of expected payoffs and sparse
-next-state distributions; gains and biases then come from small dense
+reads the case table through :meth:`Game.marginalize`, which sums the
+opponent out and leaves per-(state, own action) rows of expected payoffs
+and sparse next-state distributions.  :meth:`Marginal.chain` weighs rows
+into transition matrices, whose gains and biases come from small dense
 linear systems.  All sums run over the states reachable from the root in
 the game graph; states that exist only as indices (a node paired with a
 stage the intrusion can never be in) are ignored.
@@ -261,22 +262,14 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     m = game.marginalize(opponent, player)
     r = m.r[0 if player == "D" else 1]
     R = np.flatnonzero(game.reachable)
-    n, nr = game.n_states, len(R)
-    pos = np.zeros(n, dtype=int)
-    pos[R] = np.arange(nr)
-    cell = pos[m.state[m.row]] * nr + pos[m.nxt]  # entry -> (row, col) of P_pol
     first = m.first.tolist()
     choice = [first[s] for s in R]  # chosen row per reachable state
 
     max_rounds = 10 + sum(first[s + 1] - first[s] for s in R)
     for _ in range(max_rounds):
-        chosen = np.zeros(len(r), dtype=bool)
-        chosen[choice] = True
-        on = chosen[m.row]
-        P_pol = np.bincount(cell[on], m.prob[on], minlength=nr * nr).reshape(nr, nr)
-        g, v, _, _ = _solve_gain_bias(P_pol, r[choice])
+        g, v, _, _ = _solve_gain_bias(m.chain(np.bincount(choice, minlength=len(r)), R), r[choice])
         gain = float(g[0])
-        v_full = np.zeros(n)
+        v_full = np.zeros(game.n_states)
         v_full[R] = v[:, 0]
         q = (r + m.expect(v_full)).tolist()
         changed = False

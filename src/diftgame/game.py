@@ -161,22 +161,6 @@ class FnRates:
             raise GameBuildError("false-negative rates must lie in [0, 1)")
 
 
-class Kernel(NamedTuple):
-    """Every outcome of every joint action, one array entry per outcome,
-    ordered by (state, defender action, intruder action).  The outcomes of
-    the j-th joint action in that order are entries first[j] to
-    first[j + 1] - 1.  :func:`build_game` derives these arrays from the
-    :class:`Cases` table by index arithmetic."""
-
-    s: np.ndarray
-    d: np.ndarray
-    a: np.ndarray
-    nxt: np.ndarray
-    p: np.ndarray
-    r: np.ndarray  # payoffs of D (row 0) and A (row 1)
-    first: np.ndarray  # per joint action, plus the entry count
-
-
 class Cases(NamedTuple):
     """The kernel factored by defender case, one array entry per outcome.
 
@@ -197,31 +181,52 @@ class Cases(NamedTuple):
 
 
 class Marginal(NamedTuple):
-    """One player's view of the kernel with the opponent's mixture summed out.
+    """One player's view of the game with the opponent's mixture summed out.
 
     The actor's own actions at state s are rows ``first[s]`` to
-    ``first[s + 1] - 1``.  ``r[0]`` and ``r[1]`` hold the expected one-step
-    payoffs of D and A per row.  Next states are sparse: entry k moves
-    row ``row[k]`` to state ``nxt[k]`` with probability ``prob[k]``, one
-    entry per opponent action and outcome.
+    ``first[s + 1] - 1``; ``r`` holds the expected payoffs of D and A per
+    row.  Entry k puts ``prob[k]`` of a move from ``at[k]`` to ``nxt[k]`` in
+    slot ``row[k]``.  A row moves as its own slot plus slot ``share``: the
+    defender's inspections at s share s's slot, other rows the empty last.
     """
 
     first: np.ndarray
     state: np.ndarray  # state of each row
+    share: np.ndarray
     r: np.ndarray
     row: np.ndarray
+    at: np.ndarray
     nxt: np.ndarray
     prob: np.ndarray
 
+    def _sum(self, x: np.ndarray) -> np.ndarray:
+        """Per-row sums of the per-entry values ``x``."""
+        y = np.bincount(self.row, x, minlength=len(self.state) + len(self.first))
+        return y[: len(self.state)] + y[self.share]
+
+    def slots(self, w: np.ndarray) -> np.ndarray:
+        """Per-row weights ``w`` over the slots: a state's slot sums the
+        weights of the rows that take it, and the empty slot is 0."""
+        x = np.bincount(self.share, w, minlength=len(self.state) + len(self.first))
+        x[: len(w)], x[-1] = w, 0.0
+        return x
+
     def expect(self, v: np.ndarray) -> np.ndarray:
         """Expected value of ``v`` at the next state, per row."""
-        return np.bincount(self.row, self.prob * v[self.nxt], minlength=len(self.state))
+        return self._sum(self.prob * v[self.nxt])
+
+    def chain(self, w: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Transition matrix among the sorted ``states`` when each row is
+        played with weight ``w``; rows at other states must weigh 0."""
+        k, pos = len(states), np.zeros(len(self.first) - 1, dtype=int)
+        pos[states] = np.arange(k)
+        cell = pos[self.at] * k + pos[self.nxt]
+        return np.bincount(cell, self.prob * self.slots(w)[self.row], minlength=k * k).reshape(k, k)
 
 
 @dataclass
 class Game:
-    """Built game: dense state indexing, per-state action sets, case table
-    and kernel."""
+    """Built game: state indexing, action sets, case table, marginal frames."""
 
     ifg: Ifg
     params: RewardParams
@@ -233,8 +238,8 @@ class Game:
     actions_d: list[tuple[DefAction, ...]]
     actions_a: list[tuple[AtkAction, ...]]
     reachable: np.ndarray  # reachable from the root in the game graph
-    kernel: Kernel = field(repr=False, default=None)  # type: ignore[assignment]
     cases: Cases = field(repr=False, default=None)  # type: ignore[assignment]
+    frames: dict = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
     def n_states(self) -> int:
@@ -341,27 +346,24 @@ class Game:
 
     def outcomes(self, s: int, di: int, ai: int) -> tuple[tuple[int, float, float, float], ...]:
         """(s', p, r_d, r_a) of each outcome of the action indices (di, ai) at s."""
-        if not (0 <= di < len(self.actions_d[s]) and 0 <= ai < len(self.actions_a[s])):
-            raise InvalidActionError(f"no joint action ({di}, {ai}) at {self.state_label(s)}")
+        acts = 0 <= s < self.n_states and (self.actions_d[s], self.actions_a[s])
+        if not (acts and 0 <= di < len(acts[0]) and 0 <= ai < len(acts[1])):
+            raise InvalidActionError(f"no joint action ({di}, {ai}) at state {s}")
         return self.outcome_table[s][di][ai]
 
     def marginalize(self, opponent, actor: str) -> Marginal:
-        """The kernel as seen by ``actor`` while ``opponent`` plays its mixture."""
-        k = self.kernel
-        first_d, first_a = (np.cumsum([0, *map(len, x)]) for x in (self.actions_d, self.actions_a))
-        row_d, row_a = first_d[k.s] + k.d, first_a[k.s] + k.a
-        first, row, opp_row = (first_d, row_d, row_a) if actor == "D" else (first_a, row_a, row_d)
-        prob = np.concatenate(opponent.table)[opp_row] * k.p
-        r = np.array([np.bincount(row, prob * pay, minlength=first[-1]) for pay in k.r])
-        state = np.repeat(np.arange(self.n_states), np.diff(first))
-        return Marginal(first, state, r, row, k.nxt, prob)
+        """The game as seen by ``actor`` while ``opponent`` plays its mixture.
+        ``frames[actor]`` holds the actor's outcomes, ``prob`` and ``r`` per
+        outcome, weighted here by the opponent's slot ``u`` less slot ``v``."""
+        m, u, v = self.frames[actor]
+        x = self.frames["A" if actor == "D" else "D"][0].slots(np.concatenate(opponent.table))
+        prob = m.prob * (x[u] - x[v])
+        return m._replace(r=np.array([m._sum(prob * pay) for pay in m.r]), prob=prob)
 
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
-        n = self.n_states
         m = self.marginalize(pi.a, "D")
-        w = np.concatenate(pi.d.table)[m.row] * m.prob
-        return np.bincount(m.state[m.row] * n + m.nxt, w, minlength=n * n).reshape(n, n)
+        return m.chain(np.concatenate(pi.d.table), np.arange(self.n_states))
 
     def expected_rewards(self, pi) -> tuple[np.ndarray, np.ndarray]:
         """Per-state expected one-step payoffs under a policy pair."""
@@ -466,22 +468,27 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
     c = Cases(case_first, out_first, cols[0].astype(int), cols[1].copy(), cols[2:].copy())
     game.cases = c
 
-    # Joint action j at state s is (di, ai) = divmod(j - joint[s], n_a[s]).
-    # Its case is 0 when idle, 2 when inspecting the move's target, else 1,
-    # and its outcomes are copies of that case's.
-    n_d, n_a = (np.array([len(x) for x in acts]) for acts in (actions_d, actions_a))
-    first_a = np.cumsum([0, *n_a.tolist()])
-    joint = np.cumsum([0, *(n_d * n_a).tolist()])
-    s_j = np.repeat(np.arange(n), n_d * n_a)
-    d_j, a_j = np.divmod(np.arange(joint[-1]) - joint[s_j], n_a[s_j])
-    c_j = case_first[first_a[s_j] + a_j] + np.where(d_j == 0, 0, np.where(d_j - 1 == a_j, 2, 1))
-    count = np.array(n_outs)[c_j]
-    first = np.zeros(joint[-1] + 1, dtype=int)
-    np.cumsum(count, out=first[1:])
-    # the case-table entry behind each kernel entry
-    src = np.repeat(out_first[c_j] - first[:-1], count) + np.arange(first[-1])
-    s_e, d_e, a_e = (np.repeat(x, count) for x in (s_j, d_j, a_j))
-    game.kernel = Kernel(s_e, d_e, a_e, c.nxt[src], c.p[src], c.r.take(src, axis=1), first)
+    # Marginal frames: an outcome of case c of intruder action k at state s
+    # weighs pi_A(k) times the defender's mass on idling (c = 0), inspecting
+    # k's target (c = 2) or other successors (c = 1): s's slot, which sums
+    # its inspections, less the target's row.  The defender's frame puts c = 1
+    # in s's slot and a copy weighing -pi_A(k) in the target's row.
+    first_d, first_a = (np.cumsum([0, *map(len, acts)]) for acts in (actions_d, actions_a))
+    state_d, state_a = (np.repeat(np.arange(n), np.diff(f)) for f in (first_d, first_a))
+    nd, na, case = first_d[-1], first_a[-1], np.repeat(np.arange(len(n_outs)), n_outs)
+    k = np.repeat(np.arange(na), n_cases)[case]
+    s, kind = state_a[k], case - case_first[k]
+    tgt = first_d[s] + 1 + k - first_a[s]
+    slot = np.select([kind == 0, kind == 2], [first_d[s], tgt], nd + s)
+    swap = (kind == 1) & (np.diff(case_first)[k] == 3)
+    e = np.append(np.arange(len(case)), np.flatnonzero(swap))  # defender entry -> case entry
+    copy = np.arange(len(e)) >= len(case)
+    share_d = np.where(np.arange(nd) == first_d[state_d], nd + n, nd + state_d)
+    f_d = Marginal(first_d, state_d, share_d, c.r[:, e], np.append(slot, tgt[swap]), s[e],
+                   c.nxt[e], c.p[e])
+    f_a = Marginal(first_a, state_a, np.full(na, na + n), c.r, k, s, c.nxt, c.p)
+    game.frames = {"D": (f_d, np.where(copy, na + n, k[e]), np.where(copy, k[e], na + n)),
+                   "A": (f_a, slot, np.where(swap, tgt, nd + n))}
 
     nxt = c.nxt.tolist()
     bounds = itertools.pairwise(out_first[case_first[first_a]].tolist())

@@ -673,11 +673,13 @@ def test_numpy_not_leaked_into_csv(tmp_path, config):
 
 
 def test_train_outputs_golden(tmp_path):
-    # Digests of `diftgame train` on the criterion-5 fixture at 2e4 steps,
-    # recorded before the kernel was stored as flat arrays.  The rule, the
-    # outcome order and the random streams must not change the trained
-    # bytes.  The phi columns of history.csv come from a LAPACK solve
-    # (numpy 2.4, OpenBLAS, x86-64 when recorded).
+    # Digests of `diftgame train` on the criterion-5 fixture at 2e4 steps.
+    # The policies were recorded before the kernel was stored as flat arrays:
+    # the rule, the outcome order and the random streams must not change the
+    # trained bytes.  history.csv was re-recorded when marginalize moved to
+    # the case table.  Its phi columns are td_errors at the learner's own
+    # rho and v, so their last digits depend on the marginal's summation
+    # order and on _phis' per-state dot products (numpy 2.4, x86-64).
     kinds = ["process", "file", "socket", "other"]
     ifg = Ifg(
         [IfgNode(i, kinds[i % 4], f"n{i}") for i in range(10)],
@@ -702,5 +704,5 @@ def test_train_outputs_golden(tmp_path):
     assert digests == {
         "policy_d.json": "a119b268fbbd5914e91296588e7e50ea4f26c9a61fab045ffa387bbb46586d7f",
         "policy_a.json": "2a0149dedfd5032858147ac9c14b171e8ccfd57536f19f00e93dc452961badb2",
-        "history.csv": "d077f3867fe63c8c28e803250b83a7ce35885e10193b3a4a8e30c1d1dd579b56",
+        "history.csv": "8138880e23cd34fbddd3a124dde4cd06c93a9bbffc49935edaea71f2bc6d4876",
     }

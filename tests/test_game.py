@@ -160,9 +160,10 @@ class TestKernel:
             fork_game.transition_dist(s, NO_INSPECT, AtkAction("move", ROOT))
         with pytest.raises(InvalidActionError):
             fork_game.transition_dist(ROOT, NO_INSPECT, QUIT)
-        for di, ai in ((0, 99), (99, 0), (-1, 0), (0, -1)):
+        n = fork_game.n_states
+        for s2, di, ai in ((s, 0, 99), (s, 99, 0), (s, -1, 0), (s, 0, -1), (-1, 0, 0), (n, 0, 0)):
             with pytest.raises(InvalidActionError):
-                fork_game.outcomes(s, di, ai)
+                fork_game.outcomes(s2, di, ai)
 
     @pytest.mark.parametrize("which", ["fork", "chain", "relaxed"])
     def test_outcomes_match_the_rule(self, which, fork_game, chain_game):
@@ -493,39 +494,34 @@ class TestReachability:
 
 
 class TestKernelGolden:
-    # sha256 of each Kernel field (dtype, shape and bytes) and of
-    # repr(outcome_table), recorded while build_game still applied the rule
-    # once per joint action.  "learn" is the criterion-5 fixture; the sizes
-    # are generate_synthetic(n, 3, 2, (1, 1, 1), 0.1, 1) games.
+    # sha256 of repr(outcome_table), recorded while build_game still applied
+    # the rule once per joint action, and of each Cases field (dtype, shape
+    # and bytes), recorded before marginalize read the case table.  "learn"
+    # is the criterion-5 fixture; the sizes are
+    # generate_synthetic(n, 3, 2, (1, 1, 1), 0.1, 1) games.
     DIGESTS = {
         "learn": {
-            "s": "fa24648ce68f9859942fd8bbdcf69ca74d683fcd44c6a727170ed865f7f0278a",
-            "d": "f1485d6fac39f3da499cd69de80f4cb9a695a9b84123750a47608609648fefa0",
-            "a": "676e8ccd22650926f3c83b8b0c40eb81fead83fc69c00f6d8c07cd757b626bfc",
-            "nxt": "f022f730a681ea98e75417ac65cc03a2f9ea77a0f613e72546e2bcd919a0f324",
-            "p": "0a5d6a1659d91cc6003f77a2a0a499d93cc15f17b91e868dccafee86cb5dd45b",
-            "r": "fec1433939523cb80f7c49bcdc8ef3da93091829ff9b02f8c3f9323f329197cd",
-            "first": "0b851db094417c6f5bd9475ed9788967b770cc798b74cccdfdfbad5864a2ef34",
+            "first": "443e6f4ff0d8cb10bcfeaeffc9e007e75d63620a041f559279604c8fe18dcabd",
+            "out": "add5ae108bd6645dbaa68ab22e0b2a57a3b433f218b315c358a9e3a4a7b8a6c9",
+            "nxt": "065575b2ec852093b42fe9bfbf7ea2099d276ffb6a8d88cacf688d8725eee2fb",
+            "p": "bf22e75656df2a3775fcbd0aa7df32671d1c9b12a209f571be3ddc6a4812e852",
+            "r": "f6cd07b1df6bcb34cdb3dbd3082c52886152799faa93e1348926d41402447ef4",
             "outcome_table": "a4e5c3b89aa4a5b001471f0f5fb0aa3c5cbf740bae71fcd41684c231a0c6eb74",
         },
         160: {
-            "s": "1bffdf1d2f8671c614661a3016e5f969c51efdc6df0afdc28c5a4fb694e59cd1",
-            "d": "93f4ccfe5c61a3042950fca9b9135cc716e05f0a8245f0d73e1fee6600cddb8b",
-            "a": "f370d4aab33b858107c97fb0026b410075c5f6f4f3e8d27f039c4b382f72b0f4",
-            "nxt": "185d4663f39938243f22abebb4ce9c9c61b3ff577b7e2e0130ee8c88235ca1b7",
-            "p": "88ac78533f1a9ab8caaf3206ca513b93df1752a519bc423af05793b28a8a7b3d",
-            "r": "50d0460831121c235a405a7a85ce1f49501ddbdeffd38b61c289edb39ee75c43",
-            "first": "a76b6a87af70148f0c530dc1cb821ff1ace0605ea678db88d29a49611da3cff9",
+            "first": "5d6cc4fa8df1a116aa6f7002c9b3e797b4e7a3ca94b57dde05df9b07352b4165",
+            "out": "1e4b9664037dca995b13a593bb48552248664e6a5aa7d56acb7120bc80fdb7be",
+            "nxt": "c20e8184e7a9d40afc38e87015803bee6bd1669c2bb8e172ec80466fcc780693",
+            "p": "9dedcfb973f41d4c97943d2945d8a4469db726e8b5a145eb5bb5da6793ef1531",
+            "r": "7d115845405ba0fee664f62fb205359f7b1be9fc77d8ee96e090bc52f6a91739",
             "outcome_table": "04e4f2923b81b3951a1a5151663d7698279cf76ddc8a50601c009b47e2c08e20",
         },
         320: {
-            "s": "553608d62f8ae0ceda8d6e3f53d46d822a5fb5236b379128d7ca983502eca667",
-            "d": "22f0d50fd27bcc0148d12ca8b6cd232c7076e5dd6ec7285d3a73f986f3e6b413",
-            "a": "d6936d3214365ffe0fa045b412e5b8800f469d92a332c767c4ba46303c76f9ad",
-            "nxt": "c32d88e8a6e149cf3347461a08354110a3ae6fdf1dfbd1c1016516723a61eb12",
-            "p": "571330f51aa86b99afa3f552fb99ef812da3c1c0b8cfe29e14b0b91ab7c8e4b7",
-            "r": "47f3b4463d925b702ce815a0a549d1a6845f89e0413957d467a48e4000da01ba",
-            "first": "de4a10bd22719aa19aba374a0f189a1f015154cff8a131674ae560f1e1337cf2",
+            "first": "28c6fe13747a93a339478a76093acaa07018cf7605ffe0c7e371cad68bddfd04",
+            "out": "c71426201bcf04f23629ab837498c9ddee01ba927a9a138d6a7cda7d9f1821b6",
+            "nxt": "97b8f12d51a9c7d1e21bebe80407507053b9b2971c03c12819fa4379bc4af50f",
+            "p": "5c706999041bc9aef79f4bb3b3f07f29bc226a3505d686c2c37713d8436f2262",
+            "r": "b50a3d375391c5595d3e08c7a74e04280e611cd7905ddaf955fc4f6de3343871",
             "outcome_table": "8c98a89f68128fbc023ea10f1d822ed04c49b0771f44ecf688f018dce66c04d7",
         },
     }
@@ -550,7 +546,7 @@ class TestKernelGolden:
         g = self.build(which)
         got = {
             f: hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
-            for f, a in g.kernel._asdict().items()
+            for f, a in g.cases._asdict().items()
         }
         got["outcome_table"] = hashlib.sha256(repr(g.outcome_table).encode()).hexdigest()
         assert got == self.DIGESTS[which]

@@ -1,11 +1,14 @@
-"""Property test of the factored kernel build on random small attack graphs.
+"""Property tests of the factored game on random small attack graphs.
 
 ``build_game`` applies the transition and payoff rule once per (state,
 intruder action, defender case) and derives every joint action's outcomes
 from that table.  The oracle here is the rule written per joint action, as
 the paper states it, independently of the package's case mapping: for every
-joint action the kernel entries, ``Game.outcomes`` and the reachable set
-must equal what that rule gives, bit for bit.
+joint action ``Game.outcomes`` and the reachable set must equal what that
+rule gives, bit for bit.
+
+``Game.marginalize`` reads the case table, not the joint actions.  Its
+oracle is the marginal summed per joint action from ``Game.outcomes``.
 """
 
 import dataclasses
@@ -16,8 +19,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from diftgame.game import ROOT, FnRates, RewardParams, build_game  # noqa: E402
+from diftgame.equilibrium import best_response  # noqa: E402
+from diftgame.game import ROOT, FnRates, Marginal, RewardParams, build_game  # noqa: E402
 from diftgame.ifg import IfgNode, RawLogGraph, prune_attack_subgraph, to_ifg  # noqa: E402
+from diftgame.policies import Policy, PolicyPair  # noqa: E402
 
 
 def joint_rule(game, s, d, a):
@@ -81,25 +86,15 @@ def small_games(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_games())
 def test_factored_build_matches_the_joint_action_rule(game):
-    k = game.kernel
-    kernel = list(zip(k.s.tolist(), k.d.tolist(), k.a.tolist(), k.nxt.tolist(),
-                      k.p.tolist(), *k.r.tolist()))
-    first = k.first.tolist()
     nexts = {}
-    j = 0
     for s in range(game.n_states):
         for di, d in enumerate(game.actions_d[s]):
             for ai, a in enumerate(game.actions_a[s]):
                 want = [tuple(map(float, o)) for o in joint_rule(game, s, d, a)]
                 want = [(int(s2), *rest) for s2, *rest in want]
-                got = kernel[first[j]:first[j + 1]]
-                assert [x[:3] for x in got] == [(s, di, ai)] * len(want)
                 # repr tells -0.0 from 0.0 and compares floats bit for bit
-                assert repr([x[3:] for x in got]) == repr(want), (s, d, a)
                 assert repr(list(game.outcomes(s, di, ai))) == repr(want), (s, d, a)
                 nexts.setdefault(s, set()).update(x[0] for x in want)
-                j += 1
-    assert len(first) == j + 1 and first[-1] == len(kernel)
 
     reach, stack = {ROOT}, [ROOT]
     while stack:
@@ -107,3 +102,76 @@ def test_factored_build_matches_the_joint_action_rule(game):
             reach.add(s2)
             stack.append(s2)
     assert np.flatnonzero(game.reachable).tolist() == sorted(reach)
+
+
+def random_policy(rng, game, player):
+    """Per state, one of: a Dirichlet row, a deterministic row, a Dirichlet
+    row with about half its entries zeroed, or (defender) all inspection
+    mass on one successor, with the idle mass 0 or drawn."""
+    table = []
+    for acts in game.actions_d if player == "D" else game.actions_a:
+        k, mode = len(acts), rng.integers(4)
+        x = rng.dirichlet(np.ones(k))
+        if mode == 1:
+            x = np.eye(k)[rng.integers(k)]
+        elif mode == 2 and k > 2:
+            x[rng.choice(k, k // 2, replace=False)] = 0.0
+            x /= x.sum()
+        elif mode == 3 and player == "D" and k > 1:
+            x = np.zeros(k)
+            x[0] = rng.choice([0.0, rng.random()])
+            x[rng.integers(1, k)] = 1.0 - x[0]
+        table.append(x)
+    return Policy(player, table)
+
+
+def joint_marginal(game, opponent, actor):
+    """The marginal summed per joint action from ``Game.outcomes``, with
+    every row taking the empty slot."""
+    first = np.cumsum([0, *map(len, game.actions_d if actor == "D" else game.actions_a)])
+    entries = []
+    for s in range(game.n_states):
+        for di in range(len(game.actions_d[s])):
+            for ai in range(len(game.actions_a[s])):
+                own, opp = (di, ai) if actor == "D" else (ai, di)
+                w = opponent.table[s][opp]
+                entries += [(first[s] + own, s, s2, w * p, r_d, r_a)
+                            for s2, p, r_d, r_a in game.outcomes(s, di, ai)]
+    row, at, nxt = (np.array([e[i] for e in entries]) for i in range(3))
+    prob, *pay = (np.array([e[i] for e in entries]) for i in range(3, 6))
+    r = np.array([np.bincount(row, prob * x, minlength=first[-1]) for x in pay])
+    state = np.repeat(np.arange(game.n_states), np.diff(first))
+    share = np.full(first[-1], first[-1] + game.n_states)
+    return Marginal(first, state, share, r, row, at, nxt, prob)
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_games(), st.integers(0, 2**32 - 1))
+def test_marginal_matches_the_joint_action_sums(game, seed):
+    rng = np.random.default_rng(seed)
+    pi = PolicyPair(random_policy(rng, game, "D"), random_policy(rng, game, "A"))
+    v = rng.normal(0.0, 50.0, game.n_states)
+    for actor, opp in (("D", pi.a), ("A", pi.d)):
+        m, ref = game.marginalize(opp, actor), joint_marginal(game, opp, actor)
+        assert_close(m.r, ref.r)
+        assert_close(m.expect(v), ref.expect(v))
+        gain = best_response(game, opp, actor)[1]
+        game.marginalize = lambda *_: ref
+        assert_close(gain, best_response(game, opp, actor)[1])
+        del game.marginalize
+
+    n = game.n_states
+    P, rew = np.zeros((n, n)), np.zeros((2, n))
+    for s in range(n):
+        for di, wd in enumerate(pi.d.table[s]):
+            for ai, wa in enumerate(pi.a.table[s]):
+                for s2, p, r_d, r_a in game.outcomes(s, di, ai):
+                    P[s, s2] += wd * wa * p
+                    rew[:, s] += wd * wa * p * np.array([r_d, r_a])
+    assert_close(game.expected_rewards(pi), rew)
+    assert np.array_equal(game.induced_chain(pi) > 0, P > 0)

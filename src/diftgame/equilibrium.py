@@ -3,34 +3,40 @@
 These routines never sample.  Each one fixes one player's mixture and
 reads the case table through :meth:`Game.marginalize`, which sums the
 opponent out and leaves per-(state, own action) rows of expected payoffs
-and sparse next-state distributions.  :meth:`Marginal.chain` weighs rows
-into transition matrices, whose gains and biases come from small dense
-linear systems.  All sums run over the states reachable from the root in
-the game graph; states that exist only as indices (a node paired with a
-stage the intrusion can never be in) are ignored.
+and sparse next-state distributions.  All sums run over the states
+reachable from the root in the game graph; states that exist only as
+indices (a node paired with a stage the intrusion can never be in) are
+ignored.
 
 For a policy pair the induced chain has a single recurrent class containing
 the root, so the evaluation equations anchored at the root have a unique
-solution: one linear solve gives the long-run average payoff (gain) and
-the bias vector together, and their residual, checked against 1e-9,
-guards the unichain structure.  Per-(state, action) slack of those
-equations drives both the certification residuals and the exact gradient
-of their policy-weighted aggregate.
+solution.  :func:`evaluate_policy_pair` weighs the rows into the induced
+transition matrix (:meth:`Game.induced_chain`), checks its classes with
+``classify_chain`` and makes one dense linear solve for the long-run
+average payoff (gain) and the bias vector together.  Its residual, checked
+against 1e-9, guards the unichain structure.  Per-(state, action) slack of
+those equations drives both the certification residuals and the exact
+gradient of their policy-weighted aggregate.
+
+:func:`best_response` needs no matrix.  The game graph without its edges
+into the root is acyclic (the restart DAG), so every policy-iteration
+round evaluates its deterministic reply exactly by back-substitution over
+the heights ``build_game`` computes (:meth:`Marginal.restart_solve`), with
+the same 1e-9 residual check.  The pair evaluation could take the same
+route; it keeps the dense solve because ``perfbench`` reads its per-layer
+figures for ``classify_chain`` and the linear solves from that route.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, Marginal, classify_chain
+from .game import Game, Marginal, UnichainViolationError, classify_chain
 from .policies import Policy, PolicyPair, cut_policy, uniform_policy
-
-
-class UnichainViolationError(RuntimeError):
-    """The induced chain does not have a single root recurrent class."""
 
 
 OmegaTable = dict[str, list[np.ndarray]]
@@ -251,44 +257,48 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     """Optimal deterministic reply and its gain against a fixed opponent.
 
     Policy iteration on the opponent-marginalized decision process restricted
-    to reachable states: evaluate the current deterministic reply (gain and
-    bias, root-anchored), then switch each state to an action whose one-step
-    lookahead improves the bias equation, keeping the incumbent on ties.
+    to reachable states.  Each round evaluates the current deterministic
+    reply exactly by back-substitution on the restart DAG
+    (:meth:`Marginal.restart_solve`) and checks that gain + v = rbar + P v
+    holds within 1e-9 on every reachable state.  Then each state's candidate
+    is its first action whose one-step lookahead is within 1e-10 of the
+    best, and the state switches to it if that beats the incumbent by more
+    than 1e-10; ties keep the incumbent.
     """
     if player not in ("D", "A"):
         raise ValueError(f"bad player {player!r}")
     if opponent.player != ("A" if player == "D" else "D"):
         raise ValueError("opponent policy is for the wrong player")
+    opponent.validate(game)
     m = game.marginalize(opponent, player)
     r = m.r[0 if player == "D" else 1]
     R = np.flatnonzero(game.reachable)
-    first = m.first.tolist()
-    choice = [first[s] for s in R]  # chosen row per reachable state
+    heads = m.first[:-1]
+    choice = heads[R]  # chosen row per reachable state
 
-    max_rounds = 10 + sum(first[s + 1] - first[s] for s in R)
+    max_rounds = 10 + int(np.diff(m.first)[R].sum())
     for _ in range(max_rounds):
-        g, v, _, _ = _solve_gain_bias(m.chain(np.bincount(choice, minlength=len(r)), R), r[choice])
-        gain = float(g[0])
-        v_full = np.zeros(game.n_states)
-        v_full[R] = v[:, 0]
-        q = (r + m.expect(v_full)).tolist()
-        changed = False
-        for i, s in enumerate(R):
-            seg = q[first[s] : first[s + 1]]
-            best = first[s] + seg.index(max(seg))
-            if q[best] > q[choice[i]] + 1e-10:
-                choice[i] = best
-                changed = True
-        if not changed:
+        gain, v = m.restart_solve(np.bincount(choice, minlength=len(r)), r, game.height)
+        q = r + m.expect(v)
+        resid = float(np.abs(gain + v[R] - q[choice]).max())
+        if not resid <= 1e-9:
+            raise UnichainViolationError(f"evaluation residual {resid:.3g} exceeds 1e-9")
+        # the first row within 1e-10 of its state's max: rows tied in exact
+        # arithmetic pick the same candidate whatever the rounding
+        hits = np.flatnonzero(q >= np.maximum.reduceat(q, heads)[m.state] - 1e-10)
+        best = hits[np.searchsorted(m.state[hits], R)]
+        better = q[best] > q[choice] + 1e-10
+        if not better.any():
             break
+        choice = np.where(better, best, choice)
     else:
         raise UnichainViolationError("policy iteration failed to settle")
 
-    picks = m.first[:-1].copy()  # unreachable states keep their first action
+    picks = heads.copy()  # unreachable states keep their first action
     picks[R] = choice
     flat = np.zeros(len(r))
     flat[picks] = 1.0
-    return Policy(player, np.split(flat, m.first[1:-1])), gain
+    return Policy(player, [flat[i:j] for i, j in itertools.pairwise(m.first.tolist())]), gain
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:

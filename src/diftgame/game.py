@@ -32,6 +32,10 @@ class InvalidActionError(ValueError):
     """Action not available at the given state."""
 
 
+class UnichainViolationError(RuntimeError):
+    """The induced chain does not have a single root recurrent class."""
+
+
 class DefAction(NamedTuple):
     kind: str  # "none" | "inspect"
     target: int  # inspected state index, -1 when idle
@@ -188,6 +192,7 @@ class Marginal(NamedTuple):
     row.  Entry k puts ``prob[k]`` of a move from ``at[k]`` to ``nxt[k]`` in
     slot ``row[k]``.  A row moves as its own slot plus slot ``share``: the
     defender's inspections at s share s's slot, other rows the empty last.
+    ``levels`` groups the entries for :meth:`restart_solve`.
     """
 
     first: np.ndarray
@@ -198,6 +203,7 @@ class Marginal(NamedTuple):
     at: np.ndarray
     nxt: np.ndarray
     prob: np.ndarray
+    levels: Levels | None = None  # the entries by height, built once per frame
 
     def _sum(self, x: np.ndarray) -> np.ndarray:
         """Per-row sums of the per-entry values ``x``."""
@@ -215,18 +221,103 @@ class Marginal(NamedTuple):
         """Expected value of ``v`` at the next state, per row."""
         return self._sum(self.prob * v[self.nxt])
 
-    def chain(self, w: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Transition matrix among the sorted ``states`` when each row is
-        played with weight ``w``; rows at other states must weigh 0."""
-        k, pos = len(states), np.zeros(len(self.first) - 1, dtype=int)
-        pos[states] = np.arange(k)
-        cell = pos[self.at] * k + pos[self.nxt]
-        return np.bincount(cell, self.prob * self.slots(w)[self.row], minlength=k * k).reshape(k, k)
+    def chain(self, w: np.ndarray) -> np.ndarray:
+        """State transition matrix when each row is played with weight ``w``."""
+        n = len(self.first) - 1
+        cell = self.at * n + self.nxt
+        return np.bincount(cell, self.prob * self.slots(w)[self.row], minlength=n * n).reshape(n, n)
+
+    def restart_solve(
+        self, w: np.ndarray, pay: np.ndarray, height: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """Gain and root-anchored bias when each row is played with weight
+        ``w`` and pays ``pay``, by back-substitution on the restart DAG.
+
+        With P' the chain less its root column, a = rbar + P'a is the payoff
+        and b = 1 + P'b the time until the next visit to the root.  Both
+        solve level by level, sinks first (``height``, see
+        :func:`_heights`); then gain = a(root) / b(root) and v = a - gain b,
+        so gain + v = rbar + P v with v(root) = 0.  Unreachable states get
+        v = 0.  A marginal built without ``levels`` groups its entries here.
+        """
+        lv = self.levels if self.levels is not None else _levels(self, height)
+        # a and b ride as the real and imaginary parts of one vector, so a
+        # level takes one gather and one sum; real weights keep them apart
+        x = np.bincount(self.state, w * pay, minlength=len(height)) + 1j
+        pe = self.prob[lv.order] * self.slots(w)[lv.row]
+        for s, lo, hi, starts in lv.steps:
+            x[s] += np.add.reduceat(pe[lo:hi] * x[lv.nxt[lo:hi]], starts)
+        gain = float(x[ROOT].real / x[ROOT].imag)
+        v = np.where(height >= 0, x.real - gain * x.imag, 0.0)
+        v[ROOT] = 0.0
+        return gain, v
+
+
+class Levels(NamedTuple):
+    """A marginal's entries into states other than the root, grouped sinks
+    first by the height of the state they leave (see :func:`_heights`).
+
+    Entry ``order[i]`` moves to ``nxt[i]`` in slot ``row[i]``.  Per height
+    from 1 up, ``steps`` holds that height's states, the span ``lo:hi`` of
+    its entries in ``order`` and, relative to ``lo``, where each state's
+    entries begin; every state above height 0 has some.
+    """
+
+    order: np.ndarray
+    row: np.ndarray
+    nxt: np.ndarray
+    steps: list[tuple[np.ndarray, int, int, np.ndarray]]
+
+
+def _heights(n: int, at: np.ndarray, nxt: np.ndarray, reachable: np.ndarray) -> np.ndarray:
+    """Height of each reachable state in the restart DAG, -1 elsewhere.
+
+    The restart DAG is the game graph without its edges into the root; the
+    entries ``at[k] -> nxt[k]``, sorted by ``at``, list the game graph's
+    edges, repeats allowed.  A state whose every outcome restarts has
+    height 0, any other one more than its highest next state.  All heights
+    relax together from 0, so after round k each is min(height, k) and they
+    have settled once none reaches k.  On a cycle some never settle, and
+    ``UnichainViolationError`` is raised after as many rounds as there are
+    states with next states.
+    """
+    keep = np.flatnonzero(reachable[at] & (nxt != ROOT))
+    keep = keep[np.diff(at[keep] * n + nxt[keep], prepend=-1) != 0]  # drop repeats in a row
+    src, dst = at[keep], nxt[keep]
+    head = np.flatnonzero(np.diff(src, prepend=-1))
+    src, h = src[head], np.zeros(n, dtype=int)
+    for k in range(1, len(head) + 2):
+        h[src] = np.maximum.reduceat(h[dst], head) + 1
+        if h.max() < k:
+            return np.where(reachable, h, -1)
+    s = int(np.argmax(h))
+    raise UnichainViolationError(
+        f"the game graph less its edges into the root has a cycle, reached from state {s}"
+    )
+
+
+def _levels(m: Marginal, height: np.ndarray) -> Levels:
+    """Group ``m``'s entries into non-root states by the height of the
+    state they leave, then by that state."""
+    n = len(height)
+    keep = np.flatnonzero((height[m.at] > 0) & (m.nxt != ROOT))
+    rank = np.empty(n, dtype=np.min_scalar_type(n))  # small keys sort by radix
+    rank[np.argsort(height, kind="stable")] = np.arange(n)
+    order = keep[np.argsort(rank[m.at[keep]], kind="stable")]
+    at = m.at[order]
+    h = height[at]
+    new = np.flatnonzero(np.diff(at, prepend=-1))  # where each state's entries begin
+    cut = np.searchsorted(h, np.arange(1, h[-1] + 2))  # the root's moves are entries
+    steps = [(at[new[a:b]], lo, hi, new[a:b] - lo)
+             for (lo, hi), (a, b) in zip(itertools.pairwise(cut.tolist()),
+                                         itertools.pairwise(np.searchsorted(new, cut).tolist()))]
+    return Levels(order, m.row[order], m.nxt[order], steps)
 
 
 @dataclass
 class Game:
-    """Built game: state indexing, action sets, case table, marginal frames."""
+    """Built game: state indexing, action sets, case table, restart-DAG
+    heights, marginal frames."""
 
     ifg: Ifg
     params: RewardParams
@@ -239,6 +330,8 @@ class Game:
     actions_a: list[tuple[AtkAction, ...]]
     reachable: np.ndarray  # reachable from the root in the game graph
     cases: Cases = field(repr=False, default=None)  # type: ignore[assignment]
+    # height in the restart DAG per reachable state, -1 elsewhere
+    height: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     frames: dict = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
@@ -362,8 +455,7 @@ class Game:
 
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
-        m = self.marginalize(pi.a, "D")
-        return m.chain(np.concatenate(pi.d.table), np.arange(self.n_states))
+        return self.marginalize(pi.a, "D").chain(np.concatenate(pi.d.table))
 
     def expected_rewards(self, pi) -> tuple[np.ndarray, np.ndarray]:
         """Per-state expected one-step payoffs under a policy pair."""
@@ -487,13 +579,15 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
     f_d = Marginal(first_d, state_d, share_d, c.r[:, e], np.append(slot, tgt[swap]), s[e],
                    c.nxt[e], c.p[e])
     f_a = Marginal(first_a, state_a, np.full(na, na + n), c.r, k, s, c.nxt, c.p)
-    game.frames = {"D": (f_d, np.where(copy, na + n, k[e]), np.where(copy, k[e], na + n)),
-                   "A": (f_a, slot, np.where(swap, tgt, nd + n))}
 
     nxt = c.nxt.tolist()
     bounds = itertools.pairwise(out_first[case_first[first_a]].tolist())
     nexts = {s: nxt[i:j] for s, (i, j) in enumerate(bounds)}
     game.reachable[list(_reach_from(nexts, {ROOT}))] = True
+    game.height = _heights(n, f_a.at, f_a.nxt, game.reachable)
+    f_d, f_a = (f._replace(levels=_levels(f, game.height)) for f in (f_d, f_a))
+    game.frames = {"D": (f_d, np.where(copy, na + n, k[e]), np.where(copy, k[e], na + n)),
+                   "A": (f_a, slot, np.where(swap, tgt, nd + n))}
     return game
 
 

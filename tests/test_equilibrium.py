@@ -26,9 +26,11 @@ from diftgame.equilibrium import (
     stationary_distribution,
     td_errors,
 )
-from diftgame.game import FnRates, RewardParams, build_game, classify_chain
+from _dense import dense_best_response
+from diftgame.game import FnRates, Marginal, RewardParams, build_game, classify_chain
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
 from diftgame.policies import Policy, PolicyPair, project_simplex, uniform_policy
+from test_acceptance import fixture_game
 
 
 def two_node_game():
@@ -186,8 +188,10 @@ class TestEvaluation:
 
 
 class TestOneSolve:
-    """Each evaluation classifies its chain once and solves once; the
-    residual of that one solve is the only consistency check."""
+    """Each pair evaluation classifies its chain once and solves once; the
+    residual of that one solve is the only consistency check.  Best
+    responses make neither call: each policy-iteration round is one
+    back-substitution, with the same residual check."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -202,7 +206,7 @@ class TestOneSolve:
 
         monkeypatch.setattr(equilibrium, "classify_chain", counted("classify", equilibrium.classify_chain))
         monkeypatch.setattr(equilibrium.np.linalg, "solve", counted("solve", equilibrium.np.linalg.solve))
-        # one call per evaluate_policy_pair and per policy-iteration round
+        # one call per evaluate_policy_pair
         monkeypatch.setattr(
             equilibrium, "_solve_gain_bias", counted("evaluations", equilibrium._solve_gain_bias)
         )
@@ -214,12 +218,20 @@ class TestOneSolve:
             evaluate_policy_pair(synth, random_pair(synth, seed))
             assert calls == {"classify": 1, "solve": 1, "evaluations": 1}
 
-    def test_best_response_calls_each_once_per_round(self, synth, calls):
+    def test_best_response_back_substitutes_once_per_round(self, synth, calls, monkeypatch):
+        restart = Marginal.restart_solve
+
+        def counted(*args):
+            calls["restarts"] += 1
+            return restart(*args)
+
+        monkeypatch.setattr(Marginal, "restart_solve", counted)
         for player, opp in (("D", random_pair(synth, 9).a), ("A", random_pair(synth, 9).d)):
-            calls.update(classify=0, solve=0, evaluations=0)
+            rounds = dense_best_response(synth, opp, player)[2]
+            assert rounds >= 2
+            calls.update(classify=0, solve=0, evaluations=0, restarts=0)
             best_response(synth, opp, player)
-            assert calls["evaluations"] >= 2
-            assert calls["classify"] == calls["solve"] == calls["evaluations"]
+            assert calls == {"classify": 0, "solve": 0, "evaluations": 0, "restarts": rounds}
 
     def test_perturbed_bias_raises(self, synth, monkeypatch):
         solve = np.linalg.solve
@@ -232,6 +244,19 @@ class TestOneSolve:
         monkeypatch.setattr(equilibrium.np.linalg, "solve", nudged)
         with pytest.raises(UnichainViolationError, match="residual"):
             evaluate_policy_pair(synth, random_pair(synth, 0))
+
+    def test_nudged_restart_bias_raises_in_best_response(self, synth, monkeypatch):
+        restart = Marginal.restart_solve
+        s = int(np.flatnonzero(synth.reachable)[2])
+
+        def nudged(*args):
+            gain, v = restart(*args)
+            v[s] += 1e-6
+            return gain, v
+
+        monkeypatch.setattr(Marginal, "restart_solve", nudged)
+        with pytest.raises(UnichainViolationError, match="residual"):
+            best_response(synth, random_pair(synth, 0).a, "D")
 
     def test_library_never_calls_stationary_distribution(self):
         pkg = pathlib.Path(equilibrium.__file__).parent
@@ -446,6 +471,25 @@ class TestBestResponse:
             best_response(synth, uniform_policy(synth, "A"), "X")
         with pytest.raises(ValueError):
             best_response(synth, uniform_policy(synth, "A"), "A")
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda row: np.where(np.arange(len(row)) == 0, np.nan, row),
+            lambda row: np.where(np.arange(len(row)) == 0, np.inf, row),
+            lambda row: np.eye(len(row))[0] * 1.5 - np.eye(len(row))[1] * 0.5,  # sums to 1
+            lambda row: row * 3.0,
+        ],
+        ids=["nan", "inf", "negative", "unnormalized"],
+    )
+    def test_opponent_rows_validated(self, spoil):
+        game = fixture_game()
+        for player, opp in (("D", "A"), ("A", "D")):
+            pol = uniform_policy(game, opp)
+            s = next(s for s, row in enumerate(pol.table) if len(row) > 1 and game.reachable[s])
+            pol.table[s] = spoil(pol.table[s])
+            with pytest.raises(ValueError, match=f"state {s}:"):
+                best_response(game, pol, player)
 
 
 class TestCertification:

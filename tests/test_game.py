@@ -21,6 +21,8 @@ from diftgame.game import (
     GameBuildError,
     InvalidActionError,
     RewardParams,
+    UnichainViolationError,
+    _heights,
     build_game,
     classify_chain,
 )
@@ -491,6 +493,30 @@ class TestReachability:
                 for ai in range(len(g.actions_a[s])):
                     for s2, _, _, _ in g.outcomes(s, di, ai):
                         assert g.reachable[s2]
+
+
+class TestRestartHeights:
+    def test_heights_by_hand(self, fork_game):
+        # root -> 0 -> 1 -> {2, 3} -> 4, the target, which restarts
+        g = fork_game
+        want = {g.state_index(i, 1): h for i, h in enumerate((3, 2, 1, 1, 0))}
+        want[ROOT] = 4
+        assert {int(s): int(g.height[s]) for s in np.flatnonzero(g.reachable)} == want
+        assert (g.height[~g.reachable] == -1).all()
+
+    def test_every_outcome_but_a_restart_descends(self, fork_game, chain_game):
+        for g in (fork_game, chain_game):
+            for s in np.flatnonzero(g.reachable):
+                for di in range(len(g.actions_d[s])):
+                    for ai in range(len(g.actions_a[s])):
+                        for s2, _, _, _ in g.outcomes(s, di, ai):
+                            assert s2 == ROOT or g.height[s2] < g.height[s]
+
+    def test_cycle_raises(self):
+        # 0 -> 1 -> 2 -> 1 can loop without passing through the root
+        at, nxt = np.array([0, 1, 2]), np.array([1, 2, 1])
+        with pytest.raises(UnichainViolationError, match="cycle"):
+            _heights(3, at, nxt, np.ones(3, dtype=bool))
 
 
 class TestKernelGolden:

@@ -9,6 +9,8 @@ rule gives, bit for bit.
 
 ``Game.marginalize`` reads the case table, not the joint actions.  Its
 oracle is the marginal summed per joint action from ``Game.outcomes``.
+``best_response`` evaluates its rounds by back-substitution; its oracle is
+the same policy iteration on dense solves (``_dense``).
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from _dense import dense_best_response  # noqa: E402
 from diftgame.equilibrium import best_response  # noqa: E402
 from diftgame.game import ROOT, FnRates, Marginal, RewardParams, build_game  # noqa: E402
 from diftgame.ifg import IfgNode, RawLogGraph, prune_attack_subgraph, to_ifg  # noqa: E402
@@ -175,3 +178,14 @@ def test_marginal_matches_the_joint_action_sums(game, seed):
                     rew[:, s] += wd * wa * p * np.array([r_d, r_a])
     assert_close(game.expected_rewards(pi), rew)
     assert np.array_equal(game.induced_chain(pi) > 0, P > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_games(), st.integers(0, 2**32 - 1))
+def test_best_response_matches_dense_policy_iteration(game, seed):
+    rng = np.random.default_rng(seed)
+    for actor, opp in (("D", random_policy(rng, game, "A")), ("A", random_policy(rng, game, "D"))):
+        reply, gain = best_response(game, opp, actor)
+        want, want_gain, _ = dense_best_response(game, opp, actor)
+        assert all(np.array_equal(a, b) for a, b in zip(reply.table, want.table))
+        assert abs(gain - want_gain) <= 1e-12

@@ -116,7 +116,11 @@ def _params_from_config(cfg: dict, stages: int) -> RewardParams:
         return RewardParams.defaults(stages)
     spec = _object(spec, "params")
     if "defaults" in spec:
-        base = RewardParams.defaults(_integer(spec["defaults"], "params.defaults"))
+        # checked before any table is built: a huge count would never finish
+        count = _integer(spec["defaults"], "params.defaults")
+        if count != stages:
+            raise ConfigError(f"params.defaults is {count}, but the graph has {stages} stages")
+        base = RewardParams.defaults(stages)
         scale = _number(spec.get("scale", 1.0), "params.scale")
         return base.scaled(scale) if scale != 1.0 else base
     strict = spec.get("strict_table", True)

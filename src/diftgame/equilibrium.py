@@ -14,9 +14,11 @@ solution.  :func:`evaluate_policy_pair` weighs the rows into the induced
 transition matrix (:meth:`Game.induced_chain`), checks its classes with
 ``classify_chain`` and makes one dense linear solve for the long-run
 average payoff (gain) and the bias vector together.  Its residual, checked
-against 1e-9, guards the unichain structure.  Per-(state, action) slack of
-those equations drives both the certification residuals and the exact
-gradient of their policy-weighted aggregate.
+against 1e-9, guards the unichain structure.  The slack of those equations
+is one vector per player, an entry per (state, own action) row in the order
+of ``np.concatenate(policy.table)``; phi, Delta and min_omega reduce it over
+the reachable rows.  Only :func:`omega`, :func:`exact_gradient` and
+:func:`best_response` return per-state tables; :class:`Residuals` holds none.
 
 :func:`best_response` needs no matrix.  The game graph without its edges
 into the root is acyclic (the restart DAG), so every policy-iteration
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, Marginal, UnichainViolationError, classify_chain
+from .game import Game, UnichainViolationError, classify_chain
 from .policies import Policy, PolicyPair, cut_policy, uniform_policy
 
 
@@ -60,7 +62,6 @@ class EvalResult:
 
 @dataclass
 class Residuals:
-    omega: OmegaTable
     delta: float
     phi_d: float
     phi_a: float
@@ -166,33 +167,38 @@ def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     )
 
 
-def _slack(game: Game, m: Marginal, pay: np.ndarray, rho: float, v: np.ndarray) -> list:
-    """Evaluation-equation slack per own action, one vector per state.
-
-    Entry (s, b) is rho + v(s) minus the expected (``pay`` + next bias) when
-    the marginal's actor commits to action b at s.  The payoff may belong to
-    either player; the gain and bias passed in must belong to the same one.
-    Unreachable states get zero vectors.
-    """
-    vec = rho + v[m.state] - pay - m.expect(v)
-    vec[~game.reachable[m.state]] = 0.0
-    return np.split(vec, m.first[1:-1])
-
-
-def _omega(game: Game, pi: PolicyPair, rho: tuple, v: tuple) -> OmegaTable:
-    """Both players' own-payoff slack for gains ``rho`` and biases ``v``."""
-    om: OmegaTable = {}
+def _slack(game: Game, pi: PolicyPair, rho: tuple, v: tuple, own: bool = True) -> dict:
+    """Evaluation-equation slack per player, one entry per row of its
+    marginal: rho[k] + v[k](s) minus the expected (payoff + next v[k]) when
+    k plays the row at its state s against the opponent's mixture.  The
+    payoff is k's own, or with ``own`` false both players' summed.  Rows at
+    unreachable states get zero."""
+    out = {}
     for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
         m = game.marginalize(opp, player)
-        om[player] = _slack(game, m, m.r[k], rho[k], v[k])
-    return om
+        pay = m.r[k] if own else m.r.sum(axis=0)
+        out[player] = vec = rho[k] + v[k][m.state] - pay - m.expect(v[k])
+        vec[~game.reachable[m.state]] = 0.0
+    return out
 
 
-def _phis(game: Game, pi: PolicyPair, om: OmegaTable) -> list[float]:
-    """Policy-weighted slack sums (phi_D, phi_A) over the reachable states."""
-    reach = np.flatnonzero(game.reachable)
-    pols = {"D": pi.d, "A": pi.a}
-    return [sum(float(pols[k].table[s] @ om[k][s]) for s in reach) for k in pols]
+def _rows(first: np.ndarray, vec: np.ndarray) -> list[np.ndarray]:
+    """Per-state tables of a per-row vector; state s owns rows first[s]:first[s + 1]."""
+    return [vec[i:j] for i, j in itertools.pairwise(first.tolist())]
+
+
+def _live(game: Game, player: str) -> np.ndarray:
+    """Mask of the player's rows at reachable states."""
+    return game.reachable[game.frames[player][0].state]
+
+
+def _phis(game: Game, pi: PolicyPair, slack: dict[str, np.ndarray]) -> list[float]:
+    """Policy-weighted slack sums (phi_D, phi_A) over the reachable rows only."""
+    out = []
+    for k, pol in (("D", pi.d), ("A", pi.a)):
+        live = _live(game, k)
+        out.append(float(np.concatenate(pol.table)[live] @ slack[k][live]))
+    return out
 
 
 def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTable:
@@ -204,12 +210,13 @@ def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTabl
     equilibrium no entry is meaningfully negative.
     """
     ev = ev or evaluate_policy_pair(game, pi)
-    return _omega(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
 def delta(game: Game, pi: PolicyPair, om: OmegaTable) -> float:
     """Policy-weighted aggregate of all residuals (zero at exact evaluation)."""
-    return sum(_phis(game, pi, om))
+    return sum(_phis(game, pi, {k: np.concatenate(om[k]) for k in ("D", "A")}))
 
 
 def td_errors(
@@ -227,15 +234,12 @@ def td_errors(
     """
     if rho is None or v is None:
         ev = evaluate_policy_pair(game, pi)
-        rho = (ev.rho_d, ev.rho_a)
-        v = (ev.v_d, ev.v_a)
-    phi_d, phi_a = _phis(game, pi, _omega(game, pi, rho, v))
+        rho, v = (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a)
+    phi_d, phi_a = _phis(game, pi, _slack(game, pi, rho, v))
     return phi_d, phi_a, phi_d + phi_a
 
 
-def exact_gradient(
-    game: Game, pi: PolicyPair, ev: EvalResult | None = None
-) -> OmegaTable:
+def exact_gradient(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTable:
     """Gradient of the aggregate residual in each policy coordinate.
 
     The aggregate is bilinear in the two policies once the evaluation pair
@@ -246,11 +250,8 @@ def exact_gradient(
     """
     ev = ev or evaluate_policy_pair(game, pi)
     rho, v = ev.rho_d + ev.rho_a, ev.v_d + ev.v_a
-    grads: OmegaTable = {}
-    for player, opp in (("D", pi.a), ("A", pi.d)):
-        m = game.marginalize(opp, player)
-        grads[player] = _slack(game, m, m.r.sum(axis=0), rho, v)
-    return grads
+    slack = _slack(game, pi, (rho, rho), (v, v), own=False)
+    return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
 def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, float]:
@@ -298,16 +299,15 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     picks[R] = choice
     flat = np.zeros(len(r))
     flat[picks] = 1.0
-    return Policy(player, [flat[i:j] for i, j in itertools.pairwise(m.first.tolist())]), gain
+    return Policy(player, _rows(m.first, flat)), gain
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
     ev = ev or evaluate_policy_pair(game, pi)
-    om = omega(game, pi, ev)
-    phi_d, phi_a = _phis(game, pi, om)
-    reach = np.flatnonzero(game.reachable)
-    min_om = min(float(om[k][s].min()) for k in ("D", "A") for s in reach)
-    return Residuals(om, phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
+    slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    phi_d, phi_a = _phis(game, pi, slack)
+    min_om = min(float(vec[_live(game, k)].min()) for k, vec in slack.items())
+    return Residuals(phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
 
 
 def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:

@@ -179,7 +179,10 @@ def policy_from_json(game: Game, data: dict) -> Policy:
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in probs
         ):
             raise ValueError(f"state {s}: probs must be a list of numbers, got {probs!r}")
-        table[s] = np.asarray(probs, dtype=float)
+        try:
+            table[s] = np.asarray(probs, dtype=float)
+        except OverflowError:
+            raise ValueError(f"state {s}: probs hold an integer too large for a float") from None
     pol = Policy(player, table)
     pol.validate(game)
     return pol

@@ -333,6 +333,28 @@ class TestTrain:
         assert rc == 2, err
         assert path[-1] in err
 
+    @pytest.mark.parametrize("count", [3, 10**30], ids=["3", "1e30"])
+    def test_defaults_for_other_stage_count_exit_2(
+        self, tmp_path, config, capsys, monkeypatch, count
+    ):
+        # the config's graph has 2 stages; tables for any other count must
+        # never be built (10**30 entries would never finish)
+        real = RewardParams.defaults.__func__
+
+        def guarded(cls, stages=3):
+            assert stages == 2, f"reward tables built for {stages} stages"
+            return real(cls, stages)
+
+        monkeypatch.setattr(RewardParams, "defaults", classmethod(guarded))
+        cfg = json.loads(open(config).read())
+        cfg["params"] = {"defaults": count}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"params.defaults is {count}, but the graph has 2 stages" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "section, keys",
         [("fn", ("2,1", " 2,1")), ("params", ("2,1", "02,1"))],
@@ -600,6 +622,21 @@ class TestCertifyCompare:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_probs_beyond_float_exit_2(self, tmp_path, config, uniform_pair_files, capsys):
+        # an integer literal beyond float range (1 and 400 zeros) in one entry
+        d_path, a_path = uniform_pair_files
+        data = json.loads(open(d_path).read())
+        data["states"][1]["probs"][0] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(
+            ["certify", "--config", config, "--policy-d", str(bad),
+             "--policy-a", a_path, "--out", str(tmp_path / "c.json")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"state {data['states'][1]['state']}: probs hold an integer too large" in err
+
     def test_compare_writes_three_rows(
         self, tmp_path, config, uniform_pair_files, capsys
     ):
@@ -677,9 +714,10 @@ def test_train_outputs_golden(tmp_path):
     # The policies were recorded before the kernel was stored as flat arrays:
     # the rule, the outcome order and the random streams must not change the
     # trained bytes.  history.csv was re-recorded when marginalize moved to
-    # the case table.  Its phi columns are td_errors at the learner's own
-    # rho and v, so their last digits depend on the marginal's summation
-    # order and on _phis' per-state dot products (numpy 2.4, x86-64).
+    # the case table, and again when phi became one dot product per player
+    # over the reachable rows.  Its phi columns are td_errors at the
+    # learner's own rho and v, so their last digits depend on the marginal's
+    # summation order and on that dot product (numpy 2.4, x86-64).
     kinds = ["process", "file", "socket", "other"]
     ifg = Ifg(
         [IfgNode(i, kinds[i % 4], f"n{i}") for i in range(10)],
@@ -704,5 +742,5 @@ def test_train_outputs_golden(tmp_path):
     assert digests == {
         "policy_d.json": "a119b268fbbd5914e91296588e7e50ea4f26c9a61fab045ffa387bbb46586d7f",
         "policy_a.json": "2a0149dedfd5032858147ac9c14b171e8ccfd57536f19f00e93dc452961badb2",
-        "history.csv": "8138880e23cd34fbddd3a124dde4cd06c93a9bbffc49935edaea71f2bc6d4876",
+        "history.csv": "55a72a3d16d7d8c72bb71fe87e017a42966031ad06610446891e67c0fc6b262a",
     }

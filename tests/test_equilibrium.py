@@ -336,6 +336,74 @@ class TestResiduals:
         assert abs(res.phi_t - res.phi_d - res.phi_a) < 1e-12
 
 
+@pytest.fixture(scope="module", params=["learn", "synth160"])
+def slack_game(request):
+    """The criterion-5 fixture and a 160-node synthetic game (481 states)."""
+    if request.param == "learn":
+        return fixture_game()
+    ifg = generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1)
+    return build_game(ifg, RewardParams.defaults(3), FnRates(default=0.2))
+
+
+def nudged_eval(game, pair):
+    """The exact evaluation with one reachable bias nudged and the gains
+    shifted: iterates that do not satisfy the evaluation equations."""
+    ev = evaluate_policy_pair(game, pair)
+    reach = np.flatnonzero(game.reachable)
+    s = int(reach[len(reach) // 2])
+    ev.v_d[s] += 0.5
+    ev.v_a[s] -= 0.25
+    ev.rho_d += 0.37
+    ev.rho_a -= 1.1
+    return ev
+
+
+class TestFlatSlack:
+    """The aggregates reduce one slack vector per player over the reachable
+    rows; these pin them to the per-state sums over :func:`omega`."""
+
+    def test_aggregates_match_per_state_sums(self, slack_game):
+        pair = dirichlet_pair(slack_game, 1)
+        ev = nudged_eval(slack_game, pair)
+        om = omega(slack_game, pair, ev)
+        reach = np.flatnonzero(slack_game.reachable)
+        want = [
+            sum(float(pol.table[s] @ om[k][s]) for s in reach)
+            for k, pol in (("D", pair.d), ("A", pair.a))
+        ]
+        got = td_errors(slack_game, pair, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a))
+        assert abs(want[0]) > 1e-3 and abs(want[1]) > 1e-3  # the iterates are off
+        assert got[:2] == pytest.approx(want, rel=1e-12)
+        assert got[2] == pytest.approx(sum(want), rel=1e-12)
+        assert delta(slack_game, pair, om) == pytest.approx(sum(want), rel=1e-12)
+
+    def test_min_omega_is_the_per_state_minimum(self, slack_game):
+        pair = dirichlet_pair(slack_game, 2)
+        for ev in (evaluate_policy_pair(slack_game, pair), nudged_eval(slack_game, pair)):
+            om = omega(slack_game, pair, ev)
+            want = min(
+                float(om[k][s].min()) for k in ("D", "A") for s in np.flatnonzero(slack_game.reachable)
+            )
+            assert residuals(slack_game, pair, ev).min_omega == want
+
+    def test_unreachable_rows_are_ignored(self, slack_game):
+        # a dot product over all rows would turn phi into NaN here
+        clean = dirichlet_pair(slack_game, 3)
+        dirty = clean.copy()
+        s = int(np.flatnonzero(~slack_game.reachable)[0])
+        dirty.d.table[s][:] = np.nan
+        dirty.a.table[s][:] = np.inf
+        ev = nudged_eval(slack_game, clean)
+        iterates = dict(rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a))
+        # an inf weight times a zero payoff warns inside marginalize; only
+        # the results are under test
+        with np.errstate(invalid="ignore"):
+            dirty_td = [td_errors(slack_game, dirty, **iterates), td_errors(slack_game, dirty)]
+            dirty_res = [residuals(slack_game, dirty, ev), residuals(slack_game, dirty)]
+        assert dirty_td == [td_errors(slack_game, clean, **iterates), td_errors(slack_game, clean)]
+        assert dirty_res == [residuals(slack_game, clean, ev), residuals(slack_game, clean)]
+
+
 def bilinear_residual_form(game, ev):
     """Per-state joint-action slack matrices, stacked (D payoff, A payoff).
 

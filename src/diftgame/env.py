@@ -8,10 +8,15 @@ count, per-state action sets).
 Randomness comes from a counter-based Philox stream keyed by the seed.
 Exactly one uniform is consumed per step, so the environment state after n
 steps is a pure function of (seed, n) and reruns are bit-reproducible.
+
+A step samples from its game's ``Game.case_outcomes``: the row of the
+intruder's action holds one outcome tuple per defender case, and the
+defender's action selects the case as in ``Game.outcomes``.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -24,10 +29,15 @@ _BLOCK = 8192
 def uniforms(key: list[int]) -> Iterator[float]:
     """Uniform draws from the Philox stream with the given key, fetched in
     blocks.  Philox output does not depend on how it is chunked, so the
-    k-th draw is a pure function of (key, k)."""
-    rng = np.random.Generator(np.random.Philox(key=key))
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    k-th draw is a pure function of (key, k).  Each key entry must be an
+    integer in [0, 2**63), the range ``TrainConfig`` allows for seeds."""
+    for k in key:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**63:
+            raise ValueError(f"Philox key entries must be integers in [0, 2**63), got {k!r}")
+    # as Python ints: Philox rounds a numpy.uint64 entry above 2**53 through a float
+    rng = np.random.Generator(np.random.Philox(key=[int(k) for k in key]))
+    # a list is never None, so the blocks never end
+    return itertools.chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
 
 class Env:
@@ -37,7 +47,7 @@ class Env:
         self._game = game
         self._actions_d = game.actions_d
         self._actions_a = game.actions_a
-        self._outs = game.outcome_table
+        self._rows = game.case_outcomes
         self.n_states = game.n_states
         self.seed = seed
         self.current = ROOT
@@ -65,7 +75,8 @@ class Env:
             raise InvalidActionError(
                 f"action pair ({d}, {a}) unavailable at state {s}"
             ) from None
-        out = self._outs[s][di][ai]
+        # the case of (di, ai), as in Game.outcomes
+        out = self._rows[s][ai][0 if di == 0 else 2 if di == ai + 1 else 1]
         u = next(self._uniforms)
         if len(out) == 1 or u < out[0][1]:
             s2, _, r_d, r_a = out[0]
@@ -90,15 +101,15 @@ def rollout_average(
     """
     from bisect import bisect_right
 
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if pi.d.player != "D" or pi.a.player != "A":
         raise ValueError("policy pair must hold the defender's then the intruder's policy")
     pi.d.validate(env._game)
     pi.a.validate(env._game)
     cum_d = [np.cumsum(v).tolist() for v in pi.d.table]
     cum_a = [np.cumsum(v).tolist() for v in pi.a.table]
-    outs = env._outs
+    rows = env._rows
     total_d = 0.0
     total_a = 0.0
     au = uniforms([action_seed, 1])
@@ -116,7 +127,8 @@ def rollout_average(
         ai = bisect_right(ca, u_a * ca[last])
         if ai > last:
             ai = last
-        out = outs[s][di][ai]
+        # the case of (di, ai), as in Game.outcomes
+        out = rows[s][ai][0 if di == 0 else 2 if di == ai + 1 else 1]
         if len(out) == 1 or u < out[0][1]:
             s, _, r_d, r_a = out[0]
         else:

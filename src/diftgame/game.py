@@ -172,6 +172,9 @@ class Cases(NamedTuple):
     its action only through the case: idle (0), inspecting another
     successor (1) or inspecting the intruder's target (2).  States whose
     defender can only idle have case 0 alone, and a quit has no case 2.
+    Defender action di = 1 + i inspects the target of intruder action i,
+    so the joint action (di, ai) takes case
+    ``0 if di == 0 else 2 if di == ai + 1 else 1`` (:meth:`Game.outcomes`).
     The cases of the k-th intruder action, counting through the states in
     order, are numbers ``first[k]`` to ``first[k + 1] - 1``; the outcomes
     of case c are entries ``out[c]`` to ``out[c + 1] - 1``.
@@ -238,9 +241,9 @@ class Marginal(NamedTuple):
         solve level by level, sinks first (``height``, see
         :func:`_heights`); then gain = a(root) / b(root) and v = a - gain b,
         so gain + v = rbar + P v with v(root) = 0.  Unreachable states get
-        v = 0.  A marginal built without ``levels`` groups its entries here.
+        v = 0.
         """
-        lv = self.levels if self.levels is not None else _levels(self, height)
+        lv = self.levels
         # a and b ride as the real and imaginary parts of one vector, so a
         # level takes one gather and one sum; real weights keep them apart
         x = np.bincount(self.state, w * pay, minlength=len(height)) + 1j
@@ -317,7 +320,8 @@ def _levels(m: Marginal, height: np.ndarray) -> Levels:
 @dataclass
 class Game:
     """Built game: state indexing, action sets, case table, restart-DAG
-    heights, marginal frames."""
+    heights, marginal frames, and on first use the case table as Python
+    values for sampling (:attr:`case_outcomes`)."""
 
     ifg: Ifg
     params: RewardParams
@@ -361,14 +365,6 @@ class Game:
 
     # -- kernel and rewards -------------------------------------------------
 
-    def _require(self, s: int, d: DefAction, a: AtkAction) -> None:
-        if not 0 <= s < self.n_states:
-            raise InvalidActionError(f"state {s} out of range")
-        if d not in self.actions_d[s]:
-            raise InvalidActionError(f"defender action {d} unavailable at {self.state_label(s)}")
-        if a not in self.actions_a[s]:
-            raise InvalidActionError(f"intruder action {a} unavailable at {self.state_label(s)}")
-
     def _rule(self, s: int, case: int, a: AtkAction) -> list[tuple[int, float, float, float]]:
         """(s', p, r_d, r_a) for each outcome of intruder action ``a`` at s
         under defender case ``case`` (see :class:`Cases`)."""
@@ -390,18 +386,20 @@ class Game:
         caught = (ROOT, 1.0 - miss, p.alpha_d[j] + cost, p.alpha_a[j])
         return [caught] if miss == 0.0 else [(t, miss, *arrive), caught]
 
-    def _joint_rule(self, s: int, d: DefAction, a: AtkAction) -> list[tuple]:
-        self._require(s, d, a)
-        case = 0 if d.kind == "none" else 2 if d.target == a.target else 1
-        return self._rule(s, case, a)
+    def _indices(self, s: int, d: DefAction, a: AtkAction) -> tuple[int, int]:
+        """Indices of the actions ``d`` and ``a`` at state s."""
+        acts = 0 <= s < self.n_states and (self.actions_d[s], self.actions_a[s])
+        if not (acts and d in acts[0] and a in acts[1]):
+            raise InvalidActionError(f"joint action ({d}, {a}) unavailable at state {s}")
+        return acts[0].index(d), acts[1].index(a)
 
     def transition_dist(self, s: int, d: DefAction, a: AtkAction) -> list[tuple[int, float]]:
         """Support of the next-state distribution as (state, probability) pairs."""
-        return [(s2, p) for s2, p, _, _ in self._joint_rule(s, d, a)]
+        return [(s2, p) for s2, p, _, _ in self.outcomes(s, *self._indices(s, d, a))]
 
     def reward(self, s: int, d: DefAction, a: AtkAction, s_next: int) -> tuple[float, float]:
         """One-step payoffs (defender, intruder) for a realized transition."""
-        for s2, _, r_d, r_a in self._joint_rule(s, d, a):
+        for s2, _, r_d, r_a in self.outcomes(s, *self._indices(s, d, a)):
             if s2 == s_next:
                 return r_d, r_a
         raise InvalidActionError(
@@ -410,39 +408,30 @@ class Game:
         )
 
     @functools.cached_property
-    def outcome_table(self) -> list[list[list[tuple]]]:
-        """The kernel as plain Python values (sampling loops need floats, not
-        numpy scalars): a tuple of (s', p, r_d, r_a) outcomes per joint
-        action, indexed [s][di][ai].  Built on first use from the
-        :class:`Cases` table: a state's idle row, then per inspection of
-        successor i a copy of its "other" row whose slot i holds the "same"
-        case.  Equal tuples are stored once, as most joint actions share
-        their outcomes with others at the same state."""
+    def case_outcomes(self) -> list[list[tuple]]:
+        """The :class:`Cases` table as plain Python values (sampling loops
+        need floats, not numpy scalars): one row per (state, intruder
+        action), indexed [s][ai], holding a tuple of (s', p, r_d, r_a)
+        outcomes per case in case order.  Built on first use; equal tuples
+        are stored once, as most cases share their outcomes with others."""
         c = self.cases
         shared: dict = {}
-        rows = [shared.setdefault(r, r) for r in zip(c.nxt.tolist(), c.p.tolist(), *c.r.tolist())]
-        outs = (tuple(rows[i:j]) for i, j in itertools.pairwise(c.out.tolist()))
+        entries = zip(c.nxt.tolist(), c.p.tolist(), *c.r.tolist())
+        entries = [shared.setdefault(e, e) for e in entries]
+        outs = (tuple(entries[i:j]) for i, j in itertools.pairwise(c.out.tolist()))
         outs = [shared.setdefault(o, o) for o in outs]
-        by_action = (outs[i:j] for i, j in itertools.pairwise(c.first.tolist()))
-        table = []
-        for acts_d, acts_a in zip(self.actions_d, self.actions_a):
-            cases = list(itertools.islice(by_action, len(acts_a)))
-            state_rows = [[x[0] for x in cases]]
-            if len(acts_d) > 1:
-                other = [x[1] for x in cases]
-                for i in range(len(acts_d) - 1):
-                    row = other.copy()
-                    row[i] = cases[i][2]
-                    state_rows.append(row)
-            table.append(state_rows)
-        return table
+        by_action = [tuple(outs[i:j]) for i, j in itertools.pairwise(c.first.tolist())]
+        first = itertools.accumulate(map(len, self.actions_a), initial=0)
+        return [by_action[i:j] for i, j in itertools.pairwise(first)]
 
     def outcomes(self, s: int, di: int, ai: int) -> tuple[tuple[int, float, float, float], ...]:
-        """(s', p, r_d, r_a) of each outcome of the action indices (di, ai) at s."""
+        """(s', p, r_d, r_a) of each outcome of the action indices (di, ai)
+        at s: the case that :class:`Cases` assigns (di, ai), read from the
+        row of ``ai``."""
         acts = 0 <= s < self.n_states and (self.actions_d[s], self.actions_a[s])
         if not (acts and 0 <= di < len(acts[0]) and 0 <= ai < len(acts[1])):
             raise InvalidActionError(f"no joint action ({di}, {ai}) at state {s}")
-        return self.outcome_table[s][di][ai]
+        return self.case_outcomes[s][ai][0 if di == 0 else 2 if di == ai + 1 else 1]
 
     def marginalize(self, opponent, actor: str) -> Marginal:
         """The game as seen by ``actor`` while ``opponent`` plays its mixture.
@@ -497,7 +486,7 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
         is_dest[s] = i in ifg.destinations[j - 1]
         if i not in ifg.entries and i not in dest_all:
             cost_d[s] = params.cost_overrides.get((i, j), params.cost_d_per_stage[j - 1])
-    # -0.0 + 0.0 is 0.0, so a free inspection pays +0.0: outcome_table keeps
+    # -0.0 + 0.0 is 0.0, so a free inspection pays +0.0: case_outcomes keeps
     # one of each group of equal tuples, and -0.0 == 0.0
     cost_d += 0.0
     for key in params.cost_overrides:

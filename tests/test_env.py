@@ -1,9 +1,11 @@
 """Simulator tests: determinism, kernel fidelity, information hiding."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from diftgame.env import Env, rollout_average
+from diftgame.env import Env, rollout_average, uniforms
 from diftgame.game import (
     NO_INSPECT,
     QUIT,
@@ -17,6 +19,7 @@ from diftgame.game import (
 )
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
 from diftgame.policies import Policy, PolicyPair, sample, uniform_policy
+from test_acceptance import fixture_game
 
 
 def small_game(fn=0.3):
@@ -162,13 +165,50 @@ class TestInformationHiding:
 class TestOutcomeTable:
     def test_envs_share_the_games_table(self, game):
         one, two = Env(game, seed=0), Env(game, seed=1)
-        assert one._outs is two._outs is game.outcome_table
+        assert one._rows is two._rows is game.case_outcomes
 
     def test_outcomes_returns_the_tables_tuple(self, game):
         for s in range(game.n_states):
-            for di in range(len(game.actions_d[s])):
-                for ai in range(len(game.actions_a[s])):
-                    assert game.outcomes(s, di, ai) is game.outcome_table[s][di][ai]
+            for di, d in enumerate(game.actions_d[s]):
+                for ai, a in enumerate(game.actions_a[s]):
+                    case = 0 if d.kind == "none" else 2 if d.target == a.target else 1
+                    assert game.outcomes(s, di, ai) is game.case_outcomes[s][ai][case]
+
+    @pytest.mark.parametrize("which", ["learn", 160])
+    def test_step_plays_every_joint_action_as_outcomes(self, which):
+        if which == "learn":
+            g = fixture_game()
+        else:
+            g = build_game(generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1),
+                           RewardParams.defaults(3), FnRates(0.2))
+        env, draws = Env(g, seed=4), uniforms([4, 0])
+        for s in np.flatnonzero(g.reachable).tolist():
+            for di, d in enumerate(g.actions_d[s]):
+                for ai, a in enumerate(g.actions_a[s]):
+                    env.current = s
+                    out, u = g.outcomes(s, di, ai), next(draws)
+                    s2, _, r_d, r_a = out[0] if len(out) == 1 or u < out[0][1] else out[1]
+                    assert env.step(d, a) == (s2, r_d, r_a), (s, d, a)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, 2**63, True])
+    def test_bad_seed_rejected(self, game, seed):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            Env(game, seed=seed)
+
+    def test_numpy_and_largest_seeds_accepted(self):
+        draws = [list(itertools.islice(uniforms([k, 0]), 3))
+                 for k in (np.int64(7), 7, np.uint64(2**63 - 1), 2**63 - 1)]
+        assert draws[0] == draws[1] != draws[2] == draws[3]
+
+    @pytest.mark.parametrize("steps", [True, 10.0])
+    def test_bad_steps_rejected(self, game, steps):
+        pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
+        env = Env(game, seed=0)
+        with pytest.raises(ValueError, match="integer"):
+            rollout_average(env, pair, steps)
+        assert (env.current, env.step_count) == (ROOT, 0)
 
 
 class TestRolloutAverage:

@@ -520,11 +520,12 @@ class TestRestartHeights:
 
 
 class TestKernelGolden:
-    # sha256 of repr(outcome_table), recorded while build_game still applied
-    # the rule once per joint action, and of each Cases field (dtype, shape
-    # and bytes), recorded before marginalize read the case table.  "learn"
-    # is the criterion-5 fixture; the sizes are
-    # generate_synthetic(n, 3, 2, (1, 1, 1), 0.1, 1) games.
+    # sha256 of repr of every joint action's outcomes indexed [s][di][ai],
+    # recorded while build_game still applied the rule once per joint
+    # action, and of each Cases field (dtype, shape and bytes), recorded
+    # before marginalize read the case table.  "learn" is the criterion-5
+    # fixture; the sizes are generate_synthetic(n, 3, 2, (1, 1, 1), 0.1, 1)
+    # games.
     DIGESTS = {
         "learn": {
             "first": "443e6f4ff0d8cb10bcfeaeffc9e007e75d63620a041f559279604c8fe18dcabd",
@@ -574,5 +575,7 @@ class TestKernelGolden:
             f: hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
             for f, a in g.cases._asdict().items()
         }
-        got["outcome_table"] = hashlib.sha256(repr(g.outcome_table).encode()).hexdigest()
+        table = [[[g.outcomes(s, di, ai) for ai in range(len(acts_a))] for di in range(len(acts_d))]
+                 for s, (acts_d, acts_a) in enumerate(zip(g.actions_d, g.actions_a))]
+        got["outcome_table"] = hashlib.sha256(repr(table).encode()).hexdigest()
         assert got == self.DIGESTS[which]

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from _dense import dense_best_response  # noqa: E402
 from diftgame.equilibrium import best_response  # noqa: E402
-from diftgame.game import ROOT, FnRates, Marginal, RewardParams, build_game  # noqa: E402
+from diftgame.game import ROOT, FnRates, Marginal, RewardParams, _levels, build_game  # noqa: E402
 from diftgame.ifg import IfgNode, RawLogGraph, prune_attack_subgraph, to_ifg  # noqa: E402
 from diftgame.policies import Policy, PolicyPair  # noqa: E402
 
@@ -145,7 +145,8 @@ def joint_marginal(game, opponent, actor):
     r = np.array([np.bincount(row, prob * x, minlength=first[-1]) for x in pay])
     state = np.repeat(np.arange(game.n_states), np.diff(first))
     share = np.full(first[-1], first[-1] + game.n_states)
-    return Marginal(first, state, share, r, row, at, nxt, prob)
+    ref = Marginal(first, state, share, r, row, at, nxt, prob)
+    return ref._replace(levels=_levels(ref, game.height))
 
 
 def assert_close(got, want):

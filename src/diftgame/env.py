@@ -17,6 +17,7 @@ defender's action selects the case as in ``Game.outcomes``.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -103,6 +104,7 @@ def rollout_average(
 
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    steps = operator.index(steps)  # a numpy integer would make the averages numpy floats
     if pi.d.player != "D" or pi.a.player != "A":
         raise ValueError("policy pair must hold the defender's then the intruder's policy")
     pi.d.validate(env._game)

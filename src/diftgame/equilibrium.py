@@ -20,13 +20,20 @@ of ``np.concatenate(policy.table)``; phi, Delta and min_omega reduce it over
 the reachable rows.  Only :func:`omega`, :func:`exact_gradient` and
 :func:`best_response` return per-state tables; :class:`Residuals` holds none.
 
-:func:`best_response` needs no matrix.  The game graph without its edges
-into the root is acyclic (the restart DAG), so every policy-iteration
-round evaluates its deterministic reply exactly by back-substitution over
-the heights ``build_game`` computes (:meth:`Marginal.restart_solve`), with
-the same 1e-9 residual check.  The pair evaluation could take the same
-route; it keeps the dense solve because ``perfbench`` reads its per-layer
-figures for ``classify_chain`` and the linear solves from that route.
+:func:`best_response` and :func:`compare_defenses` need no matrix.  The
+game graph without its edges into the root is acyclic (the restart DAG),
+so a row weighting is evaluated exactly by back-substitution over the
+heights ``build_game`` computes (:meth:`Marginal.restart_solve`), with the
+same 1e-9 residual check.  Every policy-iteration round of
+:func:`best_response` evaluates its deterministic reply that way, and
+:func:`compare_defenses` gets each defender's gains from one such call per
+payoff against one marginal of the learned intruder.
+:func:`evaluate_policy_pair`, and so :func:`certify_arne`,
+:func:`exact_gradient`, :func:`omega`, :func:`residuals` and
+:func:`td_errors` when they evaluate the pair themselves, keep the dense
+route: ``perfbench`` reads its per-layer figures for ``induced_chain``,
+``classify_chain`` and the linear solves from it, so it stays until those
+figures are re-pointed (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, UnichainViolationError, classify_chain
+from .game import Game, Marginal, UnichainViolationError, classify_chain
 from .policies import Policy, PolicyPair, cut_policy, uniform_policy
 
 
@@ -148,7 +155,7 @@ def _solve_gain_bias(
 def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     """Exact gains and biases of both players under a fixed policy pair."""
     R = np.flatnonzero(game.reachable)
-    P = game.induced_chain(pi)[np.ix_(R, R)]
+    P = game.induced_chain(pi)[R[:, None], R]
     rd, ra = game.expected_rewards(pi)
     gain, v, C, resid = _solve_gain_bias(P, np.column_stack([rd[R], ra[R]]))
 
@@ -254,6 +261,23 @@ def exact_gradient(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> 
     return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
+def _restart_eval(
+    game: Game, m: Marginal, w: np.ndarray, pay: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Gain and per-row lookahead q = pay + E v, with v the bias, when
+    ``m``'s rows are played with weights ``w`` and pay ``pay``, by
+    back-substitution on the restart DAG (:meth:`Marginal.restart_solve`).
+    Raises ``UnichainViolationError`` unless gain + v(s) = sum_b w_b q_b
+    holds within 1e-9 at every reachable state s."""
+    gain, v = m.restart_solve(w, pay, game.height)
+    q = pay + m.expect(v)
+    slack = gain + v - np.bincount(m.state, w * q, minlength=len(v))
+    resid = float(np.abs(slack[game.reachable]).max())
+    if not resid <= 1e-9:
+        raise UnichainViolationError(f"evaluation residual {resid:.3g} exceeds 1e-9")
+    return gain, q
+
+
 def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, float]:
     """Optimal deterministic reply and its gain against a fixed opponent.
 
@@ -279,11 +303,7 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
 
     max_rounds = 10 + int(np.diff(m.first)[R].sum())
     for _ in range(max_rounds):
-        gain, v = m.restart_solve(np.bincount(choice, minlength=len(r)), r, game.height)
-        q = r + m.expect(v)
-        resid = float(np.abs(gain + v[R] - q[choice]).max())
-        if not resid <= 1e-9:
-            raise UnichainViolationError(f"evaluation residual {resid:.3g} exceeds 1e-9")
+        gain, q = _restart_eval(game, m, np.bincount(choice, minlength=len(r)), r)
         # the first row within 1e-10 of its state's max: rows tied in exact
         # arithmetic pick the same candidate whatever the rounding
         hits = np.flatnonzero(q >= np.maximum.reduceat(q, heads)[m.state] - 1e-10)
@@ -342,13 +362,26 @@ def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:
 
 def compare_defenses(game: Game, learned: PolicyPair) -> list[tuple[str, float, float]]:
     """Gains of the learned, uniform, and cut defenders versus the learned
-    intruder, as (name, rho_D, rho_A) rows."""
+    intruder, as (name, rho_D, rho_A) rows.
+
+    Only the gains are needed, so no chain is built: one marginal of the
+    learned intruder serves all three defenders, and each gain is one
+    back-substitution on the restart DAG per payoff, with the defender's
+    rows as weights and the same 1e-9 residual check as
+    :func:`best_response`.  The pair is validated first.
+    """
+    if learned.d.player != "D" or learned.a.player != "A":
+        raise ValueError("policy pair must hold the defender's then the intruder's policy")
+    learned.d.validate(game)
+    learned.a.validate(game)
+    m = game.marginalize(learned.a, "D")
     rows = []
     for name, pol_d in (
         ("learned", learned.d),
         ("uniform", uniform_policy(game, "D")),
         ("cut", cut_policy(game)),
     ):
-        ev = evaluate_policy_pair(game, PolicyPair(pol_d, learned.a))
-        rows.append((name, ev.rho_d, ev.rho_a))
+        w = np.concatenate(pol_d.table)
+        rho_d, rho_a = (_restart_eval(game, m, w, pay)[0] for pay in m.r)
+        rows.append((name, rho_d, rho_a))
     return rows

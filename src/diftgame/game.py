@@ -436,9 +436,14 @@ class Game:
     def marginalize(self, opponent, actor: str) -> Marginal:
         """The game as seen by ``actor`` while ``opponent`` plays its mixture.
         ``frames[actor]`` holds the actor's outcomes, ``prob`` and ``r`` per
-        outcome, weighted here by the opponent's slot ``u`` less slot ``v``."""
+        outcome, weighted here by the opponent's slot ``u`` less slot ``v``.
+        A NaN or inf weight at an unreachable state counts as 0, so it
+        cannot turn arithmetic invalid; every other weight is used as given,
+        and rows at reachable states read only weights at their own state."""
         m, u, v = self.frames[actor]
-        x = self.frames["A" if actor == "D" else "D"][0].slots(np.concatenate(opponent.table))
+        o = self.frames["A" if actor == "D" else "D"][0]
+        w = np.concatenate(opponent.table)
+        x = o.slots(np.where(self.reachable[o.state] | np.isfinite(w), w, 0.0))
         prob = m.prob * (x[u] - x[v])
         return m._replace(r=np.array([m._sum(prob * pay) for pay in m.r]), prob=prob)
 
@@ -589,8 +594,8 @@ def classify_chain(P: np.ndarray) -> tuple[list[set[int]], set[int]]:
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError("P must be square")
-    rows = P.sum(axis=1)
-    if not np.allclose(rows, 1.0, atol=1e-9):
+    # the test of np.allclose(row sums, 1.0, atol=1e-9), without its call overhead
+    if not (np.abs(P.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
         raise ValueError("P rows must sum to one")
     adj: dict[int, list[int]] = {s: [] for s in range(n)}
     for s, s2 in zip(*(idx.tolist() for idx in np.nonzero(P > 0.0))):

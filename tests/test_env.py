@@ -273,6 +273,14 @@ class TestRolloutAverage:
         assert rollout_average(env, pair, 7777, 4) == (7.957310016715957, -6.511508293686512)
         assert (env.current, env.step_count) == (2, 27777)
 
+    def test_numpy_integer_steps(self, game):
+        pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
+        env, ref = Env(game, seed=5), Env(game, seed=5)
+        got = rollout_average(env, pair, np.int64(10), 2)
+        assert got == rollout_average(ref, pair, 10, 2)
+        assert [type(x) for x in got] == [float, float]
+        assert type(env.step_count) is int and env.step_count == 10
+
     def test_zero_steps_rejected(self, game):
         pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
         env = Env(game, seed=0)

@@ -29,7 +29,7 @@ from diftgame.equilibrium import (
 from _dense import dense_best_response
 from diftgame.game import FnRates, Marginal, RewardParams, build_game, classify_chain
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
-from diftgame.policies import Policy, PolicyPair, project_simplex, uniform_policy
+from diftgame.policies import Policy, PolicyPair, cut_policy, project_simplex, uniform_policy
 from test_acceptance import fixture_game
 
 
@@ -190,7 +190,8 @@ class TestEvaluation:
 class TestOneSolve:
     """Each pair evaluation classifies its chain once and solves once; the
     residual of that one solve is the only consistency check.  Best
-    responses make neither call: each policy-iteration round is one
+    responses and the defense comparison make neither call: each
+    policy-iteration round, and each defender's payoff, is one
     back-substitution, with the same residual check."""
 
     @pytest.fixture
@@ -233,6 +234,19 @@ class TestOneSolve:
             best_response(synth, opp, player)
             assert calls == {"classify": 0, "solve": 0, "evaluations": 0, "restarts": rounds}
 
+    def test_compare_defenses_back_substitutes_per_gain(self, synth, calls, monkeypatch):
+        restart = Marginal.restart_solve
+
+        def counted(*args):
+            calls["restarts"] += 1
+            return restart(*args)
+
+        monkeypatch.setattr(Marginal, "restart_solve", counted)
+        calls["restarts"] = 0
+        compare_defenses(synth, random_pair(synth, 9))
+        # three defenders, two payoffs each
+        assert calls == {"classify": 0, "solve": 0, "evaluations": 0, "restarts": 6}
+
     def test_perturbed_bias_raises(self, synth, monkeypatch):
         solve = np.linalg.solve
 
@@ -257,6 +271,19 @@ class TestOneSolve:
         monkeypatch.setattr(Marginal, "restart_solve", nudged)
         with pytest.raises(UnichainViolationError, match="residual"):
             best_response(synth, random_pair(synth, 0).a, "D")
+
+    def test_nudged_restart_bias_raises_in_compare_defenses(self, synth, monkeypatch):
+        restart = Marginal.restart_solve
+        s = int(np.flatnonzero(synth.reachable)[2])
+
+        def nudged(*args):
+            gain, v = restart(*args)
+            v[s] += 1e-6
+            return gain, v
+
+        monkeypatch.setattr(Marginal, "restart_solve", nudged)
+        with pytest.raises(UnichainViolationError, match="residual"):
+            compare_defenses(synth, random_pair(synth, 0))
 
     def test_library_never_calls_stationary_distribution(self):
         pkg = pathlib.Path(equilibrium.__file__).parent
@@ -395,11 +422,8 @@ class TestFlatSlack:
         dirty.a.table[s][:] = np.inf
         ev = nudged_eval(slack_game, clean)
         iterates = dict(rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a))
-        # an inf weight times a zero payoff warns inside marginalize; only
-        # the results are under test
-        with np.errstate(invalid="ignore"):
-            dirty_td = [td_errors(slack_game, dirty, **iterates), td_errors(slack_game, dirty)]
-            dirty_res = [residuals(slack_game, dirty, ev), residuals(slack_game, dirty)]
+        dirty_td = [td_errors(slack_game, dirty, **iterates), td_errors(slack_game, dirty)]
+        dirty_res = [residuals(slack_game, dirty, ev), residuals(slack_game, dirty)]
         assert dirty_td == [td_errors(slack_game, clean, **iterates), td_errors(slack_game, clean)]
         assert dirty_res == [residuals(slack_game, clean, ev), residuals(slack_game, clean)]
 
@@ -609,3 +633,29 @@ class TestCompareDefenses:
         ev = evaluate_policy_pair(synth, pair)
         assert rows[0][1] == pytest.approx(ev.rho_d, abs=1e-12)
         assert rows[0][2] == pytest.approx(ev.rho_a, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_row_matches_dense_evaluation(self, slack_game, seed):
+        pair = dirichlet_pair(slack_game, seed)
+        rows = compare_defenses(slack_game, pair)
+        defenders = (pair.d, uniform_policy(slack_game, "D"), cut_policy(slack_game))
+        assert [r[0] for r in rows] == ["learned", "uniform", "cut"]
+        for (_, rho_d, rho_a), pol_d in zip(rows, defenders):
+            ev = evaluate_policy_pair(slack_game, PolicyPair(pol_d, pair.a))
+            assert abs(rho_d - ev.rho_d) <= 1e-12
+            assert abs(rho_a - ev.rho_a) <= 1e-12
+
+    @pytest.mark.parametrize("bad", ["sum", "nan"])
+    @pytest.mark.parametrize("player", ["d", "a"])
+    def test_malformed_learned_row_raises(self, synth, player, bad):
+        pair = random_pair(synth, 12)
+        pol = getattr(pair, player)
+        s = next(int(s) for s in np.flatnonzero(synth.reachable) if len(pol.table[s]) > 1)
+        pol.table[s][0] = np.nan if bad == "nan" else pol.table[s][0] + 0.1
+        with pytest.raises(ValueError, match=f"state {s}"):
+            compare_defenses(synth, pair)
+
+    def test_swapped_pair_raises(self, synth):
+        pair = random_pair(synth, 12)
+        with pytest.raises(ValueError, match="defender's then the intruder's"):
+            compare_defenses(synth, PolicyPair(pair.a, pair.d))

@@ -452,6 +452,15 @@ class TestClassifyChain:
         with pytest.raises(ValueError):
             classify_chain(np.array([[0.5, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("excess", [0.0, -1e-9, 1e-5, 1.00009e-5, 1.0002e-5, -2e-5, np.nan, np.inf])
+    def test_row_sum_check_gives_allcloses_verdict(self, excess):
+        P = np.array([[0.5, 0.5 + excess], [0.0, 1.0]])
+        if np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
+            assert classify_chain(P) == ([{1}], {0})
+        else:
+            with pytest.raises(ValueError, match="sum to one"):
+                classify_chain(P)
+
     def test_game_chains_have_single_class_with_root(self):
         rng = np.random.default_rng(2)
         ifg = generate_synthetic(10, 3, 2, (1, 1, 1), 0.25, seed=1)

@@ -16,8 +16,8 @@ transition matrix (:meth:`Game.induced_chain`), checks its classes with
 average payoff (gain) and the bias vector together.  Its residual, checked
 against 1e-9, guards the unichain structure.  The slack of those equations
 is one vector per player, an entry per (state, own action) row in the order
-of ``np.concatenate(policy.table)``; phi, Delta and min_omega reduce it over
-the reachable rows.  Only :func:`omega`, :func:`exact_gradient` and
+of the player's ``Policy.flat``; phi, Delta and min_omega reduce it over the
+reachable rows.  Only :func:`omega`, :func:`exact_gradient` and
 :func:`best_response` return per-state tables; :class:`Residuals` holds none.
 
 :func:`best_response` and :func:`compare_defenses` need no matrix.  The
@@ -176,10 +176,10 @@ def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
 
 def _slack(game: Game, pi: PolicyPair, rho: tuple, v: tuple, own: bool = True) -> dict:
     """Evaluation-equation slack per player, one entry per row of its
-    marginal: rho[k] + v[k](s) minus the expected (payoff + next v[k]) when
-    k plays the row at its state s against the opponent's mixture.  The
-    payoff is k's own, or with ``own`` false both players' summed.  Rows at
-    unreachable states get zero."""
+    marginal in the order of its ``Policy.flat``: rho[k] + v[k](s) minus the
+    expected (payoff + next v[k]) when k plays the row at its state s against
+    the opponent's mixture.  The payoff is k's own, or with ``own`` false
+    both players' summed.  Rows at unreachable states get zero."""
     out = {}
     for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
         m = game.marginalize(opp, player)
@@ -204,7 +204,7 @@ def _phis(game: Game, pi: PolicyPair, slack: dict[str, np.ndarray]) -> list[floa
     out = []
     for k, pol in (("D", pi.d), ("A", pi.a)):
         live = _live(game, k)
-        out.append(float(np.concatenate(pol.table)[live] @ slack[k][live]))
+        out.append(float(pol.flat[live] @ slack[k][live]))
     return out
 
 
@@ -234,12 +234,15 @@ def td_errors(
 ) -> tuple[float, float, float]:
     """Aggregated per-player residuals (phi_D, phi_A, phi_T).
 
-    With ``rho``/``v`` omitted the exact evaluation is used and both values
-    are zero up to solver tolerance; passing learner iterates instead
+    With ``rho`` and ``v`` omitted the exact evaluation is used and both
+    values are zero up to solver tolerance; passing learner iterates instead
     measures how far those iterates are from satisfying the evaluation
-    equations under the current policies.
+    equations under the current policies.  Passing only one of the two
+    raises ``ValueError``.
     """
-    if rho is None or v is None:
+    if (rho is None) != (v is None):
+        raise ValueError("pass both rho and v, or neither")
+    if rho is None:
         ev = evaluate_policy_pair(game, pi)
         rho, v = (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a)
     phi_d, phi_a = _phis(game, pi, _slack(game, pi, rho, v))
@@ -319,7 +322,7 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     picks[R] = choice
     flat = np.zeros(len(r))
     flat[picks] = 1.0
-    return Policy(player, _rows(m.first, flat)), gain
+    return Policy._from_flat(player, m.first, flat), gain
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
@@ -381,7 +384,6 @@ def compare_defenses(game: Game, learned: PolicyPair) -> list[tuple[str, float, 
         ("uniform", uniform_policy(game, "D")),
         ("cut", cut_policy(game)),
     ):
-        w = np.concatenate(pol_d.table)
-        rho_d, rho_a = (_restart_eval(game, m, w, pay)[0] for pay in m.r)
+        rho_d, rho_a = (_restart_eval(game, m, pol_d.flat, pay)[0] for pay in m.r)
         rows.append((name, rho_d, rho_a))
     return rows

@@ -442,19 +442,19 @@ class Game:
         and rows at reachable states read only weights at their own state."""
         m, u, v = self.frames[actor]
         o = self.frames["A" if actor == "D" else "D"][0]
-        w = np.concatenate(opponent.table)
+        w = opponent.flat
         x = o.slots(np.where(self.reachable[o.state] | np.isfinite(w), w, 0.0))
         prob = m.prob * (x[u] - x[v])
         return m._replace(r=np.array([m._sum(prob * pay) for pay in m.r]), prob=prob)
 
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
-        return self.marginalize(pi.a, "D").chain(np.concatenate(pi.d.table))
+        return self.marginalize(pi.a, "D").chain(pi.d.flat)
 
     def expected_rewards(self, pi) -> tuple[np.ndarray, np.ndarray]:
         """Per-state expected one-step payoffs under a policy pair."""
         m = self.marginalize(pi.a, "D")
-        w = np.concatenate(pi.d.table)
+        w = pi.d.flat
         rd, ra = (np.bincount(m.state, w * r, minlength=self.n_states) for r in m.r)
         return rd, ra
 

@@ -17,6 +17,7 @@ miss rates.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 
 from .env import Env, uniforms
 from .game import Game
-from .policies import Policy, PolicyPair, pick
+from .policies import Policy, PolicyPair, pick, project_simplex
 
 _MIN_STEP = 1e-15  # policy moves below this are treated as no update
 
@@ -62,9 +63,11 @@ class TrainConfig:
 
 @dataclass
 class TrainerState:
-    """The learner's iterates.  The per-state tables (biases, critics and,
-    while training runs, the policy rows) are plain float lists: each step
-    reads and writes a handful of scalars, which numpy would box and unbox."""
+    """The learner's iterates.  The per-state tables (biases, critics and
+    the policy rows ``pi_d``, ``pi_a``) are plain float lists: each step
+    reads and writes a handful of scalars, which numpy would box and unbox.
+    :func:`train` turns the policy rows into a :class:`Policy` only where it
+    hands them on."""
 
     n: int
     current: int
@@ -74,7 +77,8 @@ class TrainerState:
     rho_a: float
     eps_d: list[list[float]]
     eps_a: list[list[float]]
-    pi: PolicyPair
+    pi_d: list[list[float]]
+    pi_a: list[list[float]]
     visits: np.ndarray
     _uniforms: Iterator[float] = field(repr=False)  # the learner's action draws
 
@@ -132,32 +136,6 @@ def td_residual(
     return r - rho + float(v[s_next]) - float(v[s])
 
 
-def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
-    """:func:`diftgame.policies.project_simplex` on a list of floats.
-
-    The same IEEE operations in the same order (descending sort, running
-    sum c minus the mass, the last index i where ``u - c/i > 0``, then
-    ``floor + max(w - theta, 0)``), so finite inputs give bit-identical
-    results.  On the learner's rows of 2-27 entries this is 3-7x faster
-    than the numpy sort and cumsum.
-    """
-    n = len(v)
-    if floor < 0 or floor * n >= 1.0:
-        raise ValueError(f"floor {floor} infeasible for {n} actions")
-    mass = 1.0 - floor * n
-    w = [x - floor for x in v]
-    rho = 0
-    acc = 0.0
-    for i, u in enumerate(sorted(w, reverse=True), 1):
-        acc += u
-        t = (acc - mass) / i
-        if u - t > 0:
-            rho, theta = i, t
-    if not rho:
-        raise ValueError(f"no simplex threshold for {v}")
-    return [floor + (0.0 if (d := x - theta) <= 0.0 else d) for x in w]
-
-
 def init_trainer(env: Env, cfg: TrainConfig) -> TrainerState:
     """Fresh trainer state: uniform policies, zero tables, root start."""
     n = env.n_states
@@ -180,7 +158,8 @@ def init_trainer(env: Env, cfg: TrainConfig) -> TrainerState:
         rho_a=0.0,
         eps_d=eps_d,
         eps_a=eps_a,
-        pi=PolicyPair(Policy("D", table_d), Policy("A", table_a)),
+        pi_d=table_d,
+        pi_a=table_a,
         visits=np.zeros(n, dtype=np.int64),
         _uniforms=uniforms([cfg.seed, 1]),
     )
@@ -198,8 +177,8 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
         st.visits[s] += 1
     d_v, _, d_eps, d_pi = schedules(n, s, cfg, st.visits)
 
-    pi_d = st.pi.d.table
-    pi_a = st.pi.a.table
+    pi_d = st.pi_d
+    pi_a = st.pi_a
     di = pick(pi_d[s], next(st._uniforms))
     ai = pick(pi_a[s], next(st._uniforms))
     acts_d, acts_a = env.actions(s)
@@ -244,6 +223,12 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     return st
 
 
+def _policy(player: str, first: np.ndarray, rows: list[list[float]]) -> Policy:
+    """The learner's list rows as one :class:`Policy` in the game's row order."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, int(first[-1]))
+    return Policy._from_flat(player, first, flat)
+
+
 def check_config(game: Game, cfg: TrainConfig) -> None:
     """Validate ``cfg``, checking the exploration floor against ``game``'s largest action set."""
     cfg.validate(max(map(len, game.actions_d + game.actions_a)))
@@ -272,22 +257,24 @@ def train(
         env.reset()
     check_config(env._game, cfg)
 
+    first_d, first_a = (env._game.frames[k][0].first for k in ("D", "A"))
     st = init_trainer(env, cfg)
     hist = TrainHistory()
     for _ in range(cfg.iterations):
         train_step(st, env, cfg)
         if st.n == 1 or st.n % cfg.stride == 0:
             if game is not None:
+                pi = PolicyPair(_policy("D", first_d, st.pi_d), _policy("A", first_a, st.pi_a))
                 v = (np.array(st.v_d), np.array(st.v_a))
                 phi_d, phi_a, phi_t = equilibrium.td_errors(
-                    game, st.pi, rho=(st.rho_d, st.rho_a), v=v
+                    game, pi, rho=(st.rho_d, st.rho_a), v=v
                 )
                 hist.rows.append((st.n, st.rho_d, st.rho_a, phi_d, phi_a, phi_t))
             else:
                 hist.rows.append((st.n, st.rho_d, st.rho_a, None, None, None))
 
     final = PolicyPair(
-        Policy("D", [np.array(project_simplex(v, 0.0)) for v in st.pi.d.table]),
-        Policy("A", [np.array(project_simplex(v, 0.0)) for v in st.pi.a.table]),
+        _policy("D", first_d, [project_simplex(v, 0.0) for v in st.pi_d]),
+        _policy("A", first_a, [project_simplex(v, 0.0) for v in st.pi_a]),
     )
     return final, hist

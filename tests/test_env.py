@@ -291,11 +291,11 @@ class TestRolloutAverage:
     def test_malformed_pair_rejected(self, game, bad):
         pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
         if bad == "all-zero":
-            pair.a.table = [np.zeros_like(v) for v in pair.a.table]
+            pair.a = Policy("A", [np.zeros_like(v) for v in pair.a.table])
         elif bad == "nan":
-            pair.a.table = [np.full_like(v, np.nan) for v in pair.a.table]
+            pair.a = Policy("A", [np.full_like(v, np.nan) for v in pair.a.table])
         elif bad == "short":
-            pair.a.table = [np.ones(1) for _ in pair.a.table]
+            pair.a = Policy("A", [np.ones(1) for _ in pair.a.table])
         else:
             pair = PolicyPair(pair.a, pair.d)
         env = Env(game, seed=0)

@@ -338,6 +338,15 @@ class TestResiduals:
         )
         assert base == pytest.approx(shifted, abs=1e-9)
 
+    def test_half_given_iterates_rejected(self, synth):
+        # one of rho and v alone must not fall back to the exact evaluation
+        pair = random_pair(synth, 6)
+        ev = evaluate_policy_pair(synth, pair)
+        with pytest.raises(ValueError, match="both rho and v"):
+            td_errors(synth, pair, rho=(ev.rho_d, ev.rho_a))
+        with pytest.raises(ValueError, match="both rho and v"):
+            td_errors(synth, pair, v=(ev.v_d, ev.v_a))
+
     def test_iterate_residuals_by_hand(self):
         game = two_node_game()
         s_entry = game.state_index(0, 1)
@@ -504,7 +513,7 @@ class TestExactGradient:
         rng = np.random.default_rng(14)
         for tab in (pair.d.table, pair.a.table):
             for s in range(0, synth.n_states, 2):
-                tab[s] = np.eye(len(tab[s]))[rng.integers(len(tab[s]))]
+                tab[s][:] = np.eye(len(tab[s]))[rng.integers(len(tab[s]))]
         ev = evaluate_policy_pair(synth, pair)
         W = bilinear_residual_form(synth, ev)
         om = omega(synth, pair, ev)
@@ -577,9 +586,10 @@ class TestBestResponse:
     def test_opponent_rows_validated(self, spoil):
         game = fixture_game()
         for player, opp in (("D", "A"), ("A", "D")):
-            pol = uniform_policy(game, opp)
-            s = next(s for s, row in enumerate(pol.table) if len(row) > 1 and game.reachable[s])
-            pol.table[s] = spoil(pol.table[s])
+            rows = list(uniform_policy(game, opp).table)
+            s = next(s for s, row in enumerate(rows) if len(row) > 1 and game.reachable[s])
+            rows[s] = spoil(rows[s])
+            pol = Policy(opp, rows)
             with pytest.raises(ValueError, match=f"state {s}:"):
                 best_response(game, pol, player)
 

@@ -1,4 +1,7 @@
-"""Policy table validation, baselines, simplex projection, persistence."""
+"""Policy layout and validation, baselines, simplex projection, persistence."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from diftgame.policies import (
     save_policy,
     uniform_policy,
 )
+from test_acceptance import fixture_game
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +50,7 @@ class TestProjection:
             n = int(rng.integers(1, 6))
             v = rng.normal(size=n) * rng.uniform(0.1, 10)
             floor = float(rng.uniform(0, 0.9 / n))
-            p = project_simplex(v, floor)
+            p = np.array(project_simplex(v, floor))
             assert p.min() >= floor - 1e-12
             assert abs(p.sum() - 1.0) < 1e-9
 
@@ -69,6 +73,33 @@ class TestProjection:
             project_simplex(np.array([0.5, 0.5]), floor=0.6)
         with pytest.raises(ValueError):
             project_simplex(np.array([1.0]), floor=-0.1)
+
+
+def uniform_by_states(game, player):
+    """Per-state reference for :func:`uniform_policy`."""
+    sets = game.actions_d if player == "D" else game.actions_a
+    return Policy(player, [np.full(len(acts), 1.0 / len(acts)) for acts in sets])
+
+
+def cut_by_states(game):
+    """Per-state reference for :func:`cut_policy`."""
+    table = []
+    for acts in game.actions_d:
+        vec = np.zeros(len(acts))
+        hits = [i for i, a in enumerate(acts) if a.kind == "inspect" and game.is_dest[a.target]]
+        if hits:
+            vec[hits] = 1.0 / len(hits)
+        else:
+            vec[0] = 1.0
+        table.append(vec)
+    return Policy("D", table)
+
+
+def no_target_game():
+    """One stage target, two hops from the entry: the entry state has no
+    target successor, its neighbor does."""
+    ifg = Ifg([IfgNode(i, "process", f"n{i}") for i in range(3)], {(0, 1), (1, 2)}, {0}, [{2}])
+    return build_game(ifg, RewardParams.defaults(1))
 
 
 class TestBaselines:
@@ -96,48 +127,86 @@ class TestBaselines:
                 assert acts[0] == NO_INSPECT
 
     def test_cut_idles_when_no_inspectable_target(self):
-        ifg = Ifg(
-            [IfgNode(i, "process", f"n{i}") for i in range(3)],
-            {(0, 1), (1, 2)},
-            {0},
-            [{2}],
-        )
-        game = build_game(ifg, RewardParams.defaults(1))
+        game = no_target_game()
         pol = cut_policy(game)
         s = game.state_index(0, 1)  # neighbor 1 is not a stage-1 target
         assert pol.table[s][0] == 1.0
 
 
+class TestFlatLayout:
+    @pytest.mark.parametrize("make", [
+        fixture_game,
+        lambda: build_game(generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1),
+                           RewardParams.defaults(3), FnRates(0.2)),
+        no_target_game,
+    ], ids=["learn", "synthetic-160", "no-target"])
+    def test_baselines_are_byte_identical_to_per_state_loops(self, make):
+        game = make()
+        for got, want in ((uniform_policy(game, "D"), uniform_by_states(game, "D")),
+                          (uniform_policy(game, "A"), uniform_by_states(game, "A")),
+                          (cut_policy(game), cut_by_states(game))):
+            assert got.player == want.player
+            assert got.flat.dtype == np.float64 and got.flat.tobytes() == want.flat.tobytes()
+            assert np.array_equal(got.first, want.first)
+            assert np.array_equal(got.first, game.frames[got.player][0].first)
+        # some state idles for want of a target successor
+        assert (cut_by_states(game).flat[game.frames["D"][0].first[:-1]] == 1.0).any()
+
+    def test_row_writes_reach_flat(self, game):
+        pol = uniform_policy(game, "A")
+        s = next(s for s in range(game.n_states) if len(game.actions_a[s]) > 1)
+        pol.table[s][1] = 0.25
+        assert pol.flat[pol.first[s] + 1] == 0.25
+        pol.table[s][:] = np.eye(len(pol.table[s]))[0]
+        assert pol.flat[pol.first[s]] == 1.0
+        pol.validate(game)
+        # copies rebuild their rows over their own vector
+        for cp in (copy.deepcopy(pol), pickle.loads(pickle.dumps(pol))):
+            cp.table[s][0] = 0.5
+            assert cp.flat[pol.first[s]] == 0.5 and pol.flat[pol.first[s]] == 1.0
+
+    def test_rows_and_fields_cannot_be_replaced(self, game):
+        pol = uniform_policy(game, "D")
+        with pytest.raises(TypeError):
+            pol.table[0] = np.ones(1)
+        for name in ("table", "flat", "first"):
+            with pytest.raises(AttributeError):
+                setattr(pol, name, getattr(pol, name))
+
+    def test_two_dimensional_row_rejected(self):
+        with pytest.raises(ValueError, match="state 1"):
+            Policy("A", [np.ones(1), np.full((1, 2), 0.5)])
+
+
 class TestValidation:
     def test_wrong_length_table(self, game):
-        pol = uniform_policy(game, "D")
-        pol.table.pop()
+        pol = Policy("D", uniform_policy(game, "D").table[:-1])
         with pytest.raises(ValueError):
             pol.validate(game)
 
     def test_wrong_row_width(self, game):
-        pol = uniform_policy(game, "D")
-        pol.table[3] = np.array([1.0])
+        rows = list(uniform_policy(game, "D").table)
+        rows[3] = np.array([1.0])
         if len(game.actions_d[3]) == 1:
-            pol.table[3] = np.array([0.5, 0.5])
+            rows[3] = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
-            pol.validate(game)
+            Policy("D", rows).validate(game)
 
     def test_bad_sum_and_negative(self, game):
-        pol = uniform_policy(game, "A")
-        pol.table[0] = pol.table[0] * 0.9
+        rows = list(uniform_policy(game, "A").table)
+        rows[0] = rows[0] * 0.9
         with pytest.raises(ValueError):
-            pol.validate(game)
+            Policy("A", rows).validate(game)
 
     @pytest.mark.parametrize(
         "width, row", [(2, [np.nan, 1.0]), (1, [[0.5, 0.5]])], ids=["nan", "2-d"]
     )
     def test_malformed_row_rejected(self, game, width, row):
-        pol = uniform_policy(game, "A")
+        rows = list(uniform_policy(game, "A").table)
         s = next(s for s in range(game.n_states) if len(game.actions_a[s]) == width)
-        pol.table[s] = np.array(row)
+        rows[s] = np.array(row)
         with pytest.raises(ValueError):
-            pol.validate(game)
+            Policy("A", rows).validate(game)
 
     def test_floor_argument(self, game):
         pol = uniform_policy(game, "A")
@@ -145,7 +214,7 @@ class TestValidation:
         s = next(s for s in range(game.n_states) if len(game.actions_a[s]) > 1)
         vec = np.zeros_like(pol.table[s])
         vec[0] = 1.0
-        pol.table[s] = vec
+        pol.table[s][:] = vec
         pol.validate(game)
         with pytest.raises(ValueError):
             pol.validate(game, floor=1e-3)
@@ -167,7 +236,7 @@ class TestSampling:
         s = next(s for s in range(game.n_states) if len(game.actions_a[s]) > 1)
         vec = np.zeros_like(pol.table[s])
         vec[1] = 1.0
-        pol.table[s] = vec
+        pol.table[s][:] = vec
         rng = np.random.default_rng(0)
         assert all(sample(pol, s, rng) == 1 for _ in range(100))
 
@@ -178,8 +247,8 @@ class TestSampling:
         s = next(s for s in range(game.n_states) if len(game.actions_a[s]) >= 3)
         pol = uniform_policy(game, "A")
         k = len(pol.table[s])
-        probs = project_simplex(np.arange(1.0, k + 1.0), 0.05)
-        pol.table[s] = probs
+        probs = np.array(project_simplex(np.arange(1.0, k + 1.0), 0.05))
+        pol.table[s][:] = probs
         rng = np.random.default_rng(7)
         counts = np.zeros(k)
         n = 20000

@@ -124,7 +124,7 @@ class TestInit:
         assert st.rho_d == st.rho_a == 0.0
         for s in range(game.n_states):
             k = len(game.actions_d[s])
-            np.testing.assert_allclose(st.pi.d.table[s], 1.0 / k, atol=1e-12)
+            np.testing.assert_allclose(st.pi_d[s], 1.0 / k, atol=1e-12)
             assert all(not np.any(e) for e in (st.eps_d[s], st.eps_a[s]))
 
 
@@ -202,7 +202,7 @@ class TestTrainStep:
         for _ in range(3000):
             train_step(st, env, cfg)
         for s in range(game.n_states):
-            for tab in (st.pi.d.table[s], st.pi.a.table[s]):
+            for tab in (st.pi_d[s], st.pi_a[s]):
                 assert abs(float(np.sum(tab)) - 1.0) < 1e-9
                 assert float(np.min(tab)) >= cfg.exploration_floor - 1e-12
 
@@ -228,8 +228,8 @@ class TestTrainStep:
         for _ in range(20000):
             train_step(st, env, cfg)
         s = game.state_index(1, 1)
-        assert st.pi.d.table[s][1] > 0.9  # index 1 = inspect the edge to n2
-        assert st.pi.a.table[s][0] > 0.9  # index 0 = keep moving
+        assert st.pi_d[s][1] > 0.9  # index 1 = inspect the edge to n2
+        assert st.pi_a[s][0] > 0.9  # index 0 = keep moving
 
 
 class TestTrain:

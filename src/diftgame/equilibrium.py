@@ -38,6 +38,7 @@ figures are re-pointed (ROADMAP item 1).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass
@@ -333,16 +334,36 @@ def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Resid
     return Residuals(phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
 
 
+def _sharing_marginals(game: Game, pi: PolicyPair) -> Game:
+    """A shallow copy of ``game`` whose ``marginalize`` builds the marginal
+    against each policy of ``pi`` once and then hands it out again, so that
+    :func:`residuals` and both best responses share two marginals.  They
+    stay public calls, which ``perfbench`` traces."""
+    shared, built = copy.copy(game), {}
+
+    def marginalize(opponent, actor: str) -> Marginal:
+        if opponent is not (pi.a if actor == "D" else pi.d):
+            return game.marginalize(opponent, actor)
+        if actor not in built:
+            built[actor] = game.marginalize(opponent, actor)
+        return built[actor]
+
+    shared.marginalize = marginalize
+    return shared
+
+
 def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:
     """Certificate that a policy pair is (within ``tol``) an equilibrium.
 
     Gap of player k is how much gain k could add by switching to a best
     response while the opponent stays put.  The verdict also requires no
-    meaningfully negative residual and a near-zero aggregate.
+    meaningfully negative residual and a near-zero aggregate.  The residuals
+    and both best responses share one marginal of each opponent policy.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     ev = evaluate_policy_pair(game, pi)
+    game = _sharing_marginals(game, pi)
     res = residuals(game, pi, ev)
     br_d_gain = best_response(game, pi.a, "D")[1]
     br_a_gain = best_response(game, pi.d, "A")[1]

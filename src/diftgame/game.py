@@ -1,14 +1,15 @@
-"""Average-reward stochastic game between a taint-tracking defender and an
-intruder moving through an information-flow graph.
+"""Average-reward stochastic game between a taint-tracking defender and an intruder
+moving through an information-flow graph.
 
-States are a root state plus one state per (node, stage) pair.  At the root
-the intruder picks an entry node.  At an ordinary state the intruder moves
-the tainted flow along an out-edge or quits, while the defender either
-inspects one out-neighbor or stays idle; inspecting the neighbor the flow
-actually moves to catches it, up to a per-state false-negative rate.
-Reaching a stage target advances the intrusion to the next stage; after the
-final stage the episode restarts at the root, so every policy pair induces a
-recurrent walk and long-run average rewards are well defined.
+States are a root state plus one state per (node, stage) pair.  At the root the intruder
+picks an entry node.  At an ordinary state the intruder moves the tainted flow along an
+out-edge or quits, while the defender either inspects one out-neighbor or stays idle;
+inspecting the neighbor the flow actually moves to catches it, up to a per-state
+false-negative rate.  Reaching a stage target advances the intrusion to the next stage;
+after the final stage the episode restarts at the root, so every policy pair induces a
+recurrent walk and long-run average rewards are well defined.  :func:`build_game` applies
+the transition and payoff rule to every intruder action at once, as numpy expressions
+over per-state and per-action arrays, into the case table (:class:`Cases`).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .ifg import Ifg, _reach_from, _sccs
+from .ifg import Ifg, _sccs
 
 
 class GameBuildError(ValueError):
@@ -168,16 +169,15 @@ class FnRates:
 class Cases(NamedTuple):
     """The kernel factored by defender case, one array entry per outcome.
 
-    The defender cannot see where the flow moves, so an outcome depends on
-    its action only through the case: idle (0), inspecting another
-    successor (1) or inspecting the intruder's target (2).  States whose
-    defender can only idle have case 0 alone, and a quit has no case 2.
-    Defender action di = 1 + i inspects the target of intruder action i,
-    so the joint action (di, ai) takes case
-    ``0 if di == 0 else 2 if di == ai + 1 else 1`` (:meth:`Game.outcomes`).
-    The cases of the k-th intruder action, counting through the states in
-    order, are numbers ``first[k]`` to ``first[k + 1] - 1``; the outcomes
-    of case c are entries ``out[c]`` to ``out[c + 1] - 1``.
+    The defender cannot see where the flow moves, so an outcome depends on its action only
+    through the case: idle (0), inspecting another successor (1) or inspecting the
+    intruder's target (2).  States whose defender can only idle have case 0 alone, and a
+    quit has no case 2.  Defender action di = 1 + i inspects the target of intruder action
+    i, so the joint action (di, ai) takes case ``0 if di == 0 else 2 if di == ai + 1 else
+    1`` (:meth:`Game.outcomes`).  The cases of the k-th intruder action, counting through
+    the states in order, are numbers ``first[k]`` to ``first[k + 1] - 1``; the outcomes of
+    case c are entries ``out[c]`` to ``out[c + 1] - 1``: one, or for case 2 a miss (unless
+    the miss rate is 0) and a catch.  :func:`build_game` fills the table with numpy.
     """
 
     first: np.ndarray  # per intruder action, plus the case count
@@ -272,31 +272,40 @@ class Levels(NamedTuple):
     steps: list[tuple[np.ndarray, int, int, np.ndarray]]
 
 
-def _heights(n: int, at: np.ndarray, nxt: np.ndarray, reachable: np.ndarray) -> np.ndarray:
-    """Height of each reachable state in the restart DAG, -1 elsewhere.
+def _heights(n: int, at: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Height in the restart DAG of each state reachable from the root, -1 elsewhere.
 
-    The restart DAG is the game graph without its edges into the root; the
-    entries ``at[k] -> nxt[k]``, sorted by ``at``, list the game graph's
-    edges, repeats allowed.  A state whose every outcome restarts has
-    height 0, any other one more than its highest next state.  All heights
-    relax together from 0, so after round k each is min(height, k) and they
-    have settled once none reaches k.  On a cycle some never settle, and
-    ``UnichainViolationError`` is raised after as many rounds as there are
-    states with next states.
+    The restart DAG is the game graph without its edges into the root; the entries
+    ``at[k] -> nxt[k]``, sorted by ``at``, list the game graph's edges, repeats allowed.  A
+    state whose every outcome restarts has height 0, any other one more than its highest
+    next state.  Reachability spreads from the root, heights from the sinks, a level per
+    round; a state on or above a cycle gets none, and ``UnichainViolationError`` is raised.
     """
+    def ends(start, to, front):  # the entries start[s]:start[s + 1] of each s in front
+        cnt = start[front + 1] - start[front]
+        return to[np.repeat(start[front] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+
+    reachable, front = np.arange(n) == ROOT, np.array([ROOT])
+    start = np.searchsorted(at, np.arange(n + 1))
+    while len(front):
+        nb = ends(start, nxt, front)
+        front = np.flatnonzero(np.bincount(nb[~reachable[nb]], minlength=n))
+        reachable[front] = True
     keep = np.flatnonzero(reachable[at] & (nxt != ROOT))
     keep = keep[np.diff(at[keep] * n + nxt[keep], prepend=-1) != 0]  # drop repeats in a row
     src, dst = at[keep], nxt[keep]
-    head = np.flatnonzero(np.diff(src, prepend=-1))
-    src, h = src[head], np.zeros(n, dtype=int)
-    for k in range(1, len(head) + 2):
-        h[src] = np.maximum.reduceat(h[dst], head) + 1
-        if h.max() < k:
-            return np.where(reachable, h, -1)
-    s = int(np.argmax(h))
-    raise UnichainViolationError(
-        f"the game graph less its edges into the root has a cycle, reached from state {s}"
-    )
+    by_dst = np.sort(dst * n + src)  # np.argsort would page in another sort kernel
+    start, pred = np.searchsorted(by_dst // n, np.arange(n + 1)), by_dst % n
+    left, h, k = np.bincount(src, minlength=n), np.full(n, -1), 0  # left: next states unplaced
+    front = np.flatnonzero(reachable & (left == 0))
+    while len(front):
+        h[front], done = k, np.bincount(ends(start, pred, front), minlength=n)
+        left, k = left - done, k + 1
+        front = np.flatnonzero((done > 0) & (left == 0))
+    if (unset := reachable & (h < 0)).any():
+        raise UnichainViolationError("the game graph less its edges into the root has a cycle, "
+                                     f"reached from state {int(np.argmax(unset))}")
+    return h
 
 
 def _levels(m: Marginal, height: np.ndarray) -> Levels:
@@ -333,10 +342,10 @@ class Game:
     actions_d: list[tuple[DefAction, ...]]
     actions_a: list[tuple[AtkAction, ...]]
     reachable: np.ndarray  # reachable from the root in the game graph
-    cases: Cases = field(repr=False, default=None)  # type: ignore[assignment]
-    # height in the restart DAG per reachable state, -1 elsewhere
-    height: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    frames: dict = field(repr=False, default=None)  # type: ignore[assignment]
+    cases: Cases = field(repr=False)
+    height: np.ndarray = field(repr=False)  # in the restart DAG; -1 if unreachable
+    frames: dict = field(repr=False)
+    target_d: np.ndarray = field(repr=False)  # inspected state per defender row, -1 idle
 
     @property
     def n_states(self) -> int:
@@ -365,27 +374,6 @@ class Game:
 
     # -- kernel and rewards -------------------------------------------------
 
-    def _rule(self, s: int, case: int, a: AtkAction) -> list[tuple[int, float, float, float]]:
-        """(s', p, r_d, r_a) for each outcome of intruder action ``a`` at s
-        under defender case ``case`` (see :class:`Cases`)."""
-        j = int(self.stage_of[s]) - 1
-        p = self.params
-        cost = float(self.cost_d[s]) if case else 0.0
-        if a.kind == "quit":
-            return [(ROOT, 1.0, p.sigma_d[j] + cost, p.sigma_a[j])]
-        t = a.target
-        # payoffs when the flow arrives at t uncaught
-        hit = bool(self.is_dest[t]) and int(self.stage_of[t]) == j + 1
-        if hit and (not case or not p.strict_table):
-            arrive = (p.beta_d[j], p.beta_a[j])
-        else:
-            arrive = (cost if case == 1 else 0.0, p.beta_a[j] if hit else 0.0)
-        if case != 2:
-            return [(t, 1.0, *arrive)]
-        miss = float(self.fn[t])
-        caught = (ROOT, 1.0 - miss, p.alpha_d[j] + cost, p.alpha_a[j])
-        return [caught] if miss == 0.0 else [(t, miss, *arrive), caught]
-
     def _indices(self, s: int, d: DefAction, a: AtkAction) -> tuple[int, int]:
         """Indices of the actions ``d`` and ``a`` at state s."""
         acts = 0 <= s < self.n_states and (self.actions_d[s], self.actions_a[s])
@@ -409,20 +397,28 @@ class Game:
 
     @functools.cached_property
     def case_outcomes(self) -> list[list[tuple]]:
-        """The :class:`Cases` table as plain Python values (sampling loops
-        need floats, not numpy scalars): one row per (state, intruder
-        action), indexed [s][ai], holding a tuple of (s', p, r_d, r_a)
-        outcomes per case in case order.  Built on first use; equal tuples
-        are stored once, as most cases share their outcomes with others."""
+        """The :class:`Cases` table as plain Python values (sampling loops need floats,
+        not numpy scalars): one row per (state, intruder action), indexed [s][ai], holding
+        a tuple of (s', p, r_d, r_a) outcomes per case in case order.  Built on first use;
+        numpy groups equal tuples (most cases share their outcomes) into one tuple each,
+        made from the first of them (-0.0 == 0.0)."""
         c = self.cases
-        shared: dict = {}
-        entries = zip(c.nxt.tolist(), c.p.tolist(), *c.r.tolist())
-        entries = [shared.setdefault(e, e) for e in entries]
-        outs = (tuple(entries[i:j]) for i, j in itertools.pairwise(c.out.tolist()))
-        outs = [shared.setdefault(o, o) for o in outs]
-        by_action = [tuple(outs[i:j]) for i, j in itertools.pairwise(c.first.tolist())]
-        first = itertools.accumulate(map(len, self.actions_a), initial=0)
-        return [by_action[i:j] for i, j in itertools.pairwise(first)]
+        key, size = c.nxt, self.n_states
+        for col in (c.p, *c.r):
+            code, k = _rank(col)
+            key, size = (key, size) if size * k < 2**63 else _rank(key)
+            key, size = key * k + code, size * k
+        grp, first = _groups(key, size)
+        entries = list(zip(*(x[first].tolist() for x in (c.nxt, c.p, *c.r))))
+        a, b = grp[c.out[:-1]], np.where(np.diff(c.out) > 1, grp[c.out[1:] - 1], -1)
+        case, first = _groups(a * (len(entries) + 1) + b + 1, (len(entries) + 1) ** 2)
+        outs = [(entries[x],) if y < 0 else (entries[x], entries[y])
+                for x, y in zip(a[first].tolist(), b[first].tolist())]
+        at = np.minimum(c.first[:-1, None] + np.arange(3), len(case) - 1)  # at most 3 cases
+        by_action = list(zip(*np.fromiter(outs, object, len(outs))[case[at]].T.tolist()))
+        for k in np.flatnonzero(np.diff(c.first) < 3).tolist():
+            by_action[k] = by_action[k][: c.first[k + 1] - c.first[k]]
+        return [by_action[i:j] for i, j in itertools.pairwise(self.frames["A"][0].first.tolist())]
 
     def outcomes(self, s: int, di: int, ai: int) -> tuple[tuple[int, float, float, float], ...]:
         """(s', p, r_d, r_a) of each outcome of the action indices (di, ai)
@@ -459,6 +455,25 @@ class Game:
         return rd, ra
 
 
+def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks of ``x``'s values among the distinct ones (-0.0 == 0.0), and how many."""
+    s = np.sort(x)
+    d = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    return np.searchsorted(d, x), len(d)
+
+
+def _groups(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The group of each int in ``key`` (all below ``size``) and each group's first
+    position, from one sort with the positions packed in (np.unique imports numpy.ma)."""
+    n = len(key)
+    packed = np.sort((key if size * n < 2**63 else _rank(key)[0]) * n + np.arange(n))
+    at, val = packed % n, packed // n
+    head = np.concatenate(([True], val[1:] != val[:-1]))
+    grp = np.empty(n, dtype=np.int64)
+    grp[at] = np.cumsum(head) - 1
+    return grp, at[head]
+
+
 def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Game:
     """Assemble the stochastic game for a pruned acyclic attack graph."""
     ifg.validate()
@@ -467,122 +482,106 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
             f"parameter tuples cover {params.stages} stages, graph has {ifg.stages}"
         )
     fn = fn or FnRates()
-    n_nodes, M = ifg.n_nodes, ifg.stages
-    n = 1 + n_nodes * M
-    node_of = np.full(n, -1, dtype=int)
-    stage_of = np.ones(n, dtype=int)
-    for j in range(1, M + 1):
-        for i in range(n_nodes):
-            s = 1 + (j - 1) * n_nodes + i
-            node_of[s] = i
-            stage_of[s] = j
+    n_nodes, M, n = ifg.n_nodes, ifg.stages, 1 + ifg.n_nodes * ifg.stages
+    # state 1 + (j - 1) * n_nodes + i is node i at stage j
+    node_of = np.concatenate(([-1], np.tile(np.arange(n_nodes), M)))
+    stage_of = np.concatenate(([1], np.repeat(np.arange(1, M + 1), n_nodes)))
+    dest = np.zeros((M, n_nodes), dtype=bool)
+    for j, d in enumerate(ifg.destinations):
+        dest[j, list(d)] = True
+    is_dest = np.concatenate(([False], dest.ravel()))
+    free = dest.any(axis=0)
+    free[list(ifg.entries)] = True
 
-    fn_arr = np.full(n, fn.default)
-    for (node, stage), rate in fn.overrides.items():
-        if not (0 <= node < n_nodes and 1 <= stage <= M):
-            raise GameBuildError(f"false-negative override ({node}, {stage}) outside the graph")
-        fn_arr[1 + (stage - 1) * n_nodes + node] = rate
+    def per_state(root, per_stage, overrides, what):
+        x = np.concatenate(([root], np.repeat(np.asarray(per_stage, dtype=float), n_nodes)))
+        for (i, j), v in overrides.items():
+            if not (0 <= i < n_nodes and 1 <= j <= M):
+                raise GameBuildError(f"{what} override ({i}, {j}) outside the graph")
+            x[1 + (j - 1) * n_nodes + i] = v
+        return x
 
-    dest_all = set().union(*ifg.destinations)
-    is_dest = np.zeros(n, dtype=bool)
-    cost_d = np.zeros(n)
-    for s in range(1, n):
-        i, j = int(node_of[s]), int(stage_of[s])
-        is_dest[s] = i in ifg.destinations[j - 1]
-        if i not in ifg.entries and i not in dest_all:
-            cost_d[s] = params.cost_overrides.get((i, j), params.cost_d_per_stage[j - 1])
+    fn_arr = per_state(fn.default, [fn.default] * M, fn.overrides, "false-negative")
+    cost_d = per_state(0.0, params.cost_d_per_stage, params.cost_overrides, "cost")
+    if bad := [key for key in params.cost_overrides if free[key[0]]]:
+        raise GameBuildError(f"cost override {bad[0]} targets a cost-free node")
     # -0.0 + 0.0 is 0.0, so a free inspection pays +0.0: case_outcomes keeps
     # one of each group of equal tuples, and -0.0 == 0.0
-    cost_d += 0.0
-    for key in params.cost_overrides:
-        i, j = key
-        if not (0 <= i < n_nodes and 1 <= j <= M):
-            raise GameBuildError(f"cost override {key} outside the graph")
-        if i in ifg.entries or i in dest_all:
-            raise GameBuildError(f"cost override {key} targets a cost-free node")
+    cost_d = np.where(np.append(True, np.tile(free, M)), 0.0, cost_d) + 0.0
 
-    adj = ifg.adjacency()
-    actions_d: list[tuple[DefAction, ...]] = []
-    actions_a: list[tuple[AtkAction, ...]] = []
-    for s in range(n):
-        if s == ROOT:
-            moves = tuple(
-                AtkAction("move", 1 + 0 * n_nodes + e) for e in sorted(ifg.entries)
-            )
-            actions_d.append((NO_INSPECT,))
-            actions_a.append(moves)
-            continue
-        i, j = int(node_of[s]), int(stage_of[s])
-        if is_dest[s]:
-            nxt = ROOT if j == M else 1 + j * n_nodes + i
-            actions_d.append((NO_INSPECT,))
-            actions_a.append((AtkAction("move", nxt),))
-            continue
-        succ = [1 + (j - 1) * n_nodes + v for v in adj[i]]
-        actions_d.append(
-            (NO_INSPECT, *(DefAction("inspect", t) for t in succ))
-        )
-        actions_a.append((*(AtkAction("move", t) for t in succ), QUIT))
+    # Actions by the state each names.  An ordinary state's intruder moves to each successor
+    # at its stage, then quits (-1); its defender idles (-1), then inspects intruder action
+    # q's target in row 1 + q.  A target state moves to its node at the next stage, after
+    # the last to the root.
+    edges = np.sort(np.fromiter((u * n_nodes + v for u, v in ifg.edges), int, len(ifg.edges)))
+    edges = edges[np.diff(edges, prepend=-1) != 0]
+    ptr = np.append(0, np.bincount(edges // n_nodes, minlength=n_nodes)).cumsum()
+    ordinary = ~is_dest & (np.arange(n) != ROOT)
+    n_d = np.where(ordinary, 1 + np.diff(ptr)[node_of], 1)
+    n_a = np.where(np.arange(n) == ROOT, len(ifg.entries), n_d)
+    first_d, first_a = np.append(0, n_d).cumsum(), np.append(0, n_a).cumsum()
+    nd, na = first_d[-1], first_a[-1]
+    state_d, state_a = np.repeat(np.arange(n), n_d), np.repeat(np.arange(n), n_a)
+    pos, i = np.arange(na) - first_a[state_a], node_of[state_a]
+    t = np.where(is_dest[state_a], np.where(state_a + n_nodes < n, state_a + n_nodes, ROOT), -1)
+    mv = ordinary[state_a] & (pos < n_a[state_a] - 1)
+    t[mv] = (edges % n_nodes)[ptr[i[mv]] + pos[mv]] + (state_a - i)[mv]
+    t[: n_a[ROOT]] = 1 + np.array(sorted(ifg.entries))
+    tgt_d = np.where((q := np.arange(nd) - first_d[state_d]) > 0, t[first_a[state_d] + q - 1], -1)
+    acts = (np.fromiter(x, object, n + 1)[tgt].tolist() for x, tgt in (  # the last names -1
+        ([*(DefAction("inspect", s) for s in range(n)), NO_INSPECT], tgt_d),
+        ([*(AtkAction("move", s) for s in range(n)), QUIT], t)))
+    actions_d, actions_a = ([tuple(x[i:j]) for i, j in itertools.pairwise(f.tolist())]
+                            for x, f in zip(acts, (first_d, first_a)))
 
-    game = Game(
-        ifg=ifg,
-        params=params,
-        fn=fn_arr,
-        node_of=node_of,
-        stage_of=stage_of,
-        is_dest=is_dest,
-        cost_d=cost_d,
-        actions_d=actions_d,
-        actions_a=actions_a,
-        reachable=np.zeros(n, dtype=bool),
-    )
+    # The rule: intruder action k at s with target t has up to four outcomes, in slots: case
+    # 0, case 1, case 2's miss and its catch.  A quit restarts and pays sigma.  An uncaught
+    # move to a target of s's stage pays beta unless a strict table excuses an inspecting
+    # defender; inspecting costs cost_d[s]; a catch restarts and pays alpha.  Cases 1 and 2
+    # need a defender who can inspect, case 2 a move, and its miss a nonzero rate.
+    s, j = state_a, stage_of[state_a] - 1
+    quit, cost, miss = t < 0, cost_d[s], fn_arr[t]
+    hit = ~quit & is_dest[t] & (stage_of[t] == j + 1)
+    beta = hit & (not params.strict_table)
+    alp_d, bet_d, sig_d, alp_a, bet_a, sig_a = np.array(astuple(params)[:6], dtype=float)[:, j]
+    stay, arrive_a = np.where(quit, ROOT, t), np.where(quit, sig_a, np.where(hit, bet_a, 0.0))
+    slots = ((stay, 1.0, np.where(quit, sig_d, np.where(hit, bet_d, 0.0)), arrive_a),
+             (stay, 1.0, np.where(quit, sig_d + cost, np.where(beta, bet_d, cost)), arrive_a),
+             (t, miss, np.where(beta, bet_d, 0.0), arrive_a),
+             (ROOT, 1.0 - miss, alp_d + cost, alp_a))
+    can = n_d[s] > 1
+    has = np.stack([np.ones_like(can), can, can & ~quit & (miss != 0.0), can & ~quit], axis=1)
+    k, slot = np.nonzero(has)
+    out = np.flatnonzero((slot != 3) | (np.roll(slot, 1) != 2))  # a catch after its miss
+    nxt, p, *r = (np.stack(np.broadcast_arrays(*(x[f] for x in slots)), axis=1)[has]
+                  for f in range(4))
+    c = Cases(np.append(0, has[:, [0, 1, 3]].sum(axis=1)).cumsum(), np.append(out, len(k)),
+              nxt, p, np.array(r))
+    del s, j, quit, cost, miss, hit, beta, alp_d, bet_d, sig_d, alp_a, bet_a, sig_a, stay, slots
+    del nxt, p, r, out
 
-    # The rule runs once per (state, intruder action, defender case)
-    rule = game._rule
-    n_cases, n_outs, outs = [], [], []
-    for s in range(n):
-        multi = len(actions_d[s]) > 1
-        for a in actions_a[s]:
-            cases = (0, 1, 2) if multi and a.kind == "move" else (0, 1) if multi else (0,)
-            n_cases.append(len(cases))
-            for case in cases:
-                o = rule(s, case, a)
-                n_outs.append(len(o))
-                outs += o
-    cols = np.fromiter(itertools.chain.from_iterable(outs), float).reshape(-1, 4).T
-    case_first, out_first = (np.cumsum([0, *x]) for x in (n_cases, n_outs))
-    c = Cases(case_first, out_first, cols[0].astype(int), cols[1].copy(), cols[2:].copy())
-    game.cases = c
-
-    # Marginal frames: an outcome of case c of intruder action k at state s
-    # weighs pi_A(k) times the defender's mass on idling (c = 0), inspecting
-    # k's target (c = 2) or other successors (c = 1): s's slot, which sums
-    # its inspections, less the target's row.  The defender's frame puts c = 1
-    # in s's slot and a copy weighing -pi_A(k) in the target's row.
-    first_d, first_a = (np.cumsum([0, *map(len, acts)]) for acts in (actions_d, actions_a))
-    state_d, state_a = (np.repeat(np.arange(n), np.diff(f)) for f in (first_d, first_a))
-    nd, na, case = first_d[-1], first_a[-1], np.repeat(np.arange(len(n_outs)), n_outs)
-    k = np.repeat(np.arange(na), n_cases)[case]
-    s, kind = state_a[k], case - case_first[k]
+    # Marginal frames: an outcome of case c of intruder action k at state s weighs pi_A(k)
+    # times the defender's mass on idling (c = 0), inspecting k's target (c = 2) or other
+    # successors (c = 1): s's slot, which sums its inspections, less the target's row.  The
+    # defender's frame puts c = 1 in s's slot and a copy weighing -pi_A(k) in the target's row.
+    s = state_a[k]
     tgt = first_d[s] + 1 + k - first_a[s]
-    slot = np.select([kind == 0, kind == 2], [first_d[s], tgt], nd + s)
-    swap = (kind == 1) & (np.diff(case_first)[k] == 3)
-    e = np.append(np.arange(len(case)), np.flatnonzero(swap))  # defender entry -> case entry
-    copy = np.arange(len(e)) >= len(case)
+    row = np.select([slot == 0, slot >= 2], [first_d[s], tgt], nd + s)
+    swap = (slot == 1) & has[k, 3]
+    off, e = np.where(swap, tgt, nd + n), np.flatnonzero(swap)
     share_d = np.where(np.arange(nd) == first_d[state_d], nd + n, nd + state_d)
-    f_d = Marginal(first_d, state_d, share_d, c.r[:, e], np.append(slot, tgt[swap]), s[e],
-                   c.nxt[e], c.p[e])
+    f_d = Marginal(first_d, state_d, share_d, np.concatenate((c.r, c.r[:, e]), axis=1),
+                   np.append(row, tgt[e]), np.append(s, s[e]), np.append(c.nxt, c.nxt[e]),
+                   np.append(c.p, c.p[e]))
     f_a = Marginal(first_a, state_a, np.full(na, na + n), c.r, k, s, c.nxt, c.p)
-
-    nxt = c.nxt.tolist()
-    bounds = itertools.pairwise(out_first[case_first[first_a]].tolist())
-    nexts = {s: nxt[i:j] for s, (i, j) in enumerate(bounds)}
-    game.reachable[list(_reach_from(nexts, {ROOT}))] = True
-    game.height = _heights(n, f_a.at, f_a.nxt, game.reachable)
-    f_d, f_a = (f._replace(levels=_levels(f, game.height)) for f in (f_d, f_a))
-    game.frames = {"D": (f_d, np.where(copy, na + n, k[e]), np.where(copy, k[e], na + n)),
-                   "A": (f_a, slot, np.where(swap, tgt, nd + n))}
-    return game
+    u_d, v_d = np.append(k, np.full(len(e), na + n)), np.append(np.full(len(k), na + n), k[e])
+    del has, slot, tgt, swap
+    height = _heights(n, s, c.nxt)
+    f_d, f_a = (f._replace(levels=_levels(f, height)) for f in (f_d, f_a))
+    return Game(ifg=ifg, params=params, fn=fn_arr, node_of=node_of, stage_of=stage_of,
+                is_dest=is_dest, cost_d=cost_d, actions_d=actions_d, actions_a=actions_a,
+                reachable=height >= 0, cases=c, height=height, target_d=tgt_d,
+                frames={"D": (f_d, u_d, v_d), "A": (f_a, row, off)})
 
 
 def classify_chain(P: np.ndarray) -> tuple[list[set[int]], set[int]]:

@@ -96,8 +96,7 @@ def cut_policy(game: Game) -> Policy:
     out-neighbors that are targets of its stage, inspect one of them
     uniformly at random; everywhere else idle."""
     m = game.frames["D"][0]
-    target = np.fromiter((a.target for acts in game.actions_d for a in acts), int, len(m.state))
-    hit = (target >= 0) & game.is_dest[target]  # idle rows hold target -1
+    hit = (game.target_d >= 0) & game.is_dest[game.target_d]  # idle rows hold target -1
     hits = np.bincount(m.state[hit], minlength=game.n_states)
     flat = np.where(hit, 1.0 / np.maximum(hits, 1)[m.state], 0.0)
     flat[m.first[:-1][hits == 0]] = 1.0  # index 0 is always the idle action

@@ -27,7 +27,7 @@ from diftgame.equilibrium import (
     td_errors,
 )
 from _dense import dense_best_response
-from diftgame.game import FnRates, Marginal, RewardParams, build_game, classify_chain
+from diftgame.game import FnRates, Game, Marginal, RewardParams, build_game, classify_chain
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
 from diftgame.policies import Policy, PolicyPair, cut_policy, project_simplex, uniform_policy
 from test_acceptance import fixture_game
@@ -620,6 +620,24 @@ class TestCertification:
         pair = PolicyPair(uniform_policy(synth, "D"), uniform_policy(synth, "A"))
         with pytest.raises(ValueError, match="tol"):
             certify_arne(synth, pair, tol)
+
+    def test_residuals_and_best_responses_share_two_marginals(self, synth, monkeypatch):
+        pair = dirichlet_pair(synth, 3)
+        ev = evaluate_policy_pair(synth, pair)
+        res = residuals(synth, pair, ev)
+        gaps = {"D": best_response(synth, pair.a, "D")[1] - ev.rho_d,
+                "A": best_response(synth, pair.d, "A")[1] - ev.rho_a}
+        calls = []
+        marginalize = Game.marginalize
+        monkeypatch.setattr(Game, "marginalize",
+                            lambda g, opp, actor: calls.append(actor) or marginalize(g, opp, actor))
+        cert = certify_arne(synth, pair, tol=0.5)
+        # induced_chain and expected_rewards marginalize once each; residuals'
+        # slack builds one marginal per player, which both best responses reuse
+        assert calls == ["D", "D", "D", "A"]
+        assert cert.gaps == gaps
+        assert (cert.delta, cert.min_omega) == (res.delta, res.min_omega)
+        assert cert.phi == {"D": res.phi_d, "A": res.phi_a, "T": res.phi_t}
 
     def test_certificate_serialization(self, synth, tmp_path):
         import json

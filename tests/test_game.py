@@ -6,6 +6,7 @@ payoff rules on small fixtures and frozen here.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -525,7 +526,7 @@ class TestRestartHeights:
         # 0 -> 1 -> 2 -> 1 can loop without passing through the root
         at, nxt = np.array([0, 1, 2]), np.array([1, 2, 1])
         with pytest.raises(UnichainViolationError, match="cycle"):
-            _heights(3, at, nxt, np.ones(3, dtype=bool))
+            _heights(3, at, nxt)
 
 
 class TestKernelGolden:
@@ -588,3 +589,160 @@ class TestKernelGolden:
                  for s, (acts_d, acts_a) in enumerate(zip(g.actions_d, g.actions_a))]
         got["outcome_table"] = hashlib.sha256(repr(table).encode()).hexdigest()
         assert got == self.DIGESTS[which]
+
+    # sha256 of every frame array (dtype, shape and bytes; a Levels' steps
+    # fold into one digest) and of Game.height, recorded while build_game
+    # still applied the rule once per (state, intruder action, case) in Python
+    FRAME_DIGESTS = {
+        "learn": {
+            "height": "f47ba5576b75648974421783acdeefa2f70aaad37be5ceaa311f185bf6d84402",
+            "D.first": "954a6afdd7b5897f2d27c078cd6a67c36bd4a8088ad0e33344d0fc24b5726560",
+            "D.state": "924bc4739d1cdf4616b266408c52c64f6e63de9dc7aec7e24c3516fb42d262b5",
+            "D.share": "87da8607230e5f76c9ab491cd77fb5bb74d8f0cb344a55bb22a774b6ed751153",
+            "D.r": "6bc1e4d9ee42b25efb4ca33506c5baad44e2ee5ce7761cd56f21de0f4bbe40c6",
+            "D.row": "de22b58e14db7f0b26574344b4ceb2675ca31b89efe9a4e70df920790c42b276",
+            "D.at": "1b1c4cd7e1fa60fc0117e4ee708bc068b6d3f56a5a422383d5a8d9ce8667c3a4",
+            "D.nxt": "a9362c567764c383ef3199282d2e46981228c60b6959fa24531f42304b241c15",
+            "D.prob": "63a1f93234efb975eb393665fe8ab1950a237bb65787f09a07e0caba7096b34e",
+            "D.levels.order": "3cdb5c0430adc4f29de49e191c3c533ef21128bdc6aad58bd2cee1ef321a5796",
+            "D.levels.row": "e251d8041fa08f2e0aaf7ece41edf28d329f6c6f9efb8f226caf66a8e7ed99a7",
+            "D.levels.nxt": "e39f2b0b7ecebfd4fb404ca502127d5bb5af7c02e1553fa3763107ab8a6048d3",
+            "D.levels.steps": "f4a7c41ae9ff1b603273a646c1ec5b679075d93ef53771c79b8ca89ed982a953",
+            "D.u": "dda7bc48144995d5b6e73296f3945f82981d343a1fa9ce20cd80800c1d1e7851",
+            "D.v": "6ef8a4f7452767069e8b4b853e76f5997a8d2c2eab4caded4a7c168261a004a5",
+            "A.first": "73cfd28113b28855ac12dba5fadc9922fa0e17161afc156615738056413c654d",
+            "A.state": "b9b2dd8ee109875e1617fd0673145f025cad64288f150a82dea7727b11ff92d2",
+            "A.share": "a234d0abb7474f5fd33e0fe485d585846826adf4e688ed2eb25dc8bc8f8d7f10",
+            "A.r": "f6cd07b1df6bcb34cdb3dbd3082c52886152799faa93e1348926d41402447ef4",
+            "A.row": "bf59665875b03d1b103da23994eb6f1b2a79d64fc387331d1df95e7851fc2ecc",
+            "A.at": "2068e686d188fff756f5750fe44e9af32ec2974590984042047231e39c9db151",
+            "A.nxt": "065575b2ec852093b42fe9bfbf7ea2099d276ffb6a8d88cacf688d8725eee2fb",
+            "A.prob": "bf22e75656df2a3775fcbd0aa7df32671d1c9b12a209f571be3ddc6a4812e852",
+            "A.levels.order": "cec2d2fc5ad453c413deaa3eac55b2c76d21156222d957397f6104b6b80e9915",
+            "A.levels.row": "309170a8868ec1bdb3a04f52f1044c0545d3f3ab8aa7a603237a92023a9863ab",
+            "A.levels.nxt": "1872e363e2a42b06b00e1c3954cbf595bbe78b0581fa0771b53f01158058bf2c",
+            "A.levels.steps": "eaa4c675620b848e27d974ce6cf27e7acbd26ea903ab5ab3560b58894f59669b",
+            "A.u": "c0619890f85db9172758e784d7ee2e910ac8f1d2610c1169879763e634705f86",
+            "A.v": "86e833cef5d7816104dd10aeac1b20801820d080e8b04276be16165b6525476d",
+        },
+        160: {
+            "height": "9a0a243c38a468ff2c650b2badab72c2c58f27be517ba56f91c01073d5a9655e",
+            "D.first": "6652ba76055a01c0da258aaf125a286f56aa9cae8425d1599e6b962bca765f68",
+            "D.state": "8fb9e2e0c6fe9b462f2c22d49712bcd3875da39452db349f2d1fa96b53197cad",
+            "D.share": "e587c905534ea0c433b9c59b76e661e8eda7522d6de344880314b47c8bcc3cda",
+            "D.r": "63c12ae6eac0beb75e1c07d7d54380c43b5d24abb7358043c52bd97eb878d3ae",
+            "D.row": "419cdb1a44523f7b45b1f036edfcce6415d3b1dba0bd084d5a58fafecf3f0be1",
+            "D.at": "2deb8af22d41604f04d9a29a0a6c0ea5c1a1facb5285a3e196ca10ee4f6e237a",
+            "D.nxt": "7b7019b68eee3159db4485575d958e0fb269ee90e1d6f5f46efcc2aca9eac9a4",
+            "D.prob": "15a6b33ef884cf824ae1cdd571ead12c5068560ebc9ced2e68e5fbb8e5c68eef",
+            "D.levels.order": "7205fb1daa74161ddab73230f2d98e09b4a43d431c57e3c90e35bfc5465ceaf8",
+            "D.levels.row": "09d5f54f7b72b257bec55778f960894201992a59206af2f3df1fc765dbb05081",
+            "D.levels.nxt": "d0f0f55d7b82f34ddbb7f625eaa8829d6ed8105564fa301612c4f4cc88a29f5e",
+            "D.levels.steps": "92c40fccd7b12dc89d7002e7b1a8c1edb6abd3f1fb88b9515da26a64b8934b0d",
+            "D.u": "07fbcb6756ba88a175275ada1ea6071b7cf5bad81ff9f924489175c728e54ce5",
+            "D.v": "d39cb5b6d63a501b41f11d4d9236b2aac8e5c8f2e016df339bfe573fa28221c4",
+            "A.first": "4cca9491047578dd6455dd635d9a9046e9bb72d66f55d673fc2138db2a38ba85",
+            "A.state": "3f5f69084ad17d96da9ea05dd8502c4adea5662f4aabc1fd7d4eb6f73d2e0bd9",
+            "A.share": "451292343ac2afe0965c0bae00771973f20fddc558a5d6091975086523cef41c",
+            "A.r": "7d115845405ba0fee664f62fb205359f7b1be9fc77d8ee96e090bc52f6a91739",
+            "A.row": "16e93c97e182f40b956cbe38a525ed271e0a78192848f286aa95812d68a37770",
+            "A.at": "77f9b84eac1facd5eb3b3a7d6870ded14b7e6b530b62554bc104bf69747c8217",
+            "A.nxt": "c20e8184e7a9d40afc38e87015803bee6bd1669c2bb8e172ec80466fcc780693",
+            "A.prob": "9dedcfb973f41d4c97943d2945d8a4469db726e8b5a145eb5bb5da6793ef1531",
+            "A.levels.order": "20c8f5132c2421c6633a388c77cdcc8689dc7a10ce48d01fc8c9b0d94520a3c0",
+            "A.levels.row": "81438ee8fdef6f16a739565092acf3a4c42d4d2ed4bd8022f9288bf41adb2b8f",
+            "A.levels.nxt": "b0c00c0faac5d2d72c489cbfe33dcd1067262bdb76c4d69e9e42743178fefb15",
+            "A.levels.steps": "cf79afccbbaa4e657bb913886825c14e54dffa0b9e2f6c2ef81ba2c37fe6f3d3",
+            "A.u": "96d46d3fbf92587671b57514f9a776c8b68ab8926131e6cde80e25ec80da956d",
+            "A.v": "a6f60f365b8b4ef4e64abbe9178e450c43eae2d5a7bdfcae941b0cc512c90d73",
+        },
+    }
+
+    @staticmethod
+    def digest(x):
+        h = hashlib.sha256()
+
+        def feed(y):
+            if isinstance(y, np.ndarray):
+                h.update(f"{y.dtype.str}{y.shape}".encode() + y.tobytes())
+            elif isinstance(y, (tuple, list)):
+                for z in y:
+                    feed(z)
+            else:
+                h.update(repr(y).encode())
+
+        feed((x,))
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("which", ["learn", 160])
+    def test_frames_and_height_digests(self, which):
+        g = self.build(which)
+        got = {"height": self.digest(g.height)}
+        for player, (m, u, v) in g.frames.items():
+            for f, a in m._asdict().items():
+                if f == "levels":
+                    got.update({f"{player}.levels.{lf}": self.digest(la)
+                                for lf, la in a._asdict().items()})
+                else:
+                    got[f"{player}.{f}"] = self.digest(a)
+            got[f"{player}.u"], got[f"{player}.v"] = self.digest(u), self.digest(v)
+        assert got == self.FRAME_DIGESTS[which]
+
+    @pytest.mark.parametrize("which", ["learn", 160])
+    def test_actions_are_named_tuples(self, which):
+        g = self.build(which)
+        for cls, sets in ((DefAction, g.actions_d), (AtkAction, g.actions_a)):
+            assert all(type(a) is cls for acts in sets for a in acts)
+            assert all(type(acts) is tuple for acts in sets)
+
+    def test_target_d_names_each_defender_rows_target(self):
+        g = self.build(160)
+        assert g.target_d.tolist() == [a.target for acts in g.actions_d for a in acts]
+
+
+def dict_case_outcomes(g):
+    """The table as sampling reads it, deduplicated through one dict the way
+    the first Python build did it: each equal tuple is stored once, as the
+    first of its group."""
+    c, shared = g.cases, {}
+    entries = zip(c.nxt.tolist(), c.p.tolist(), *c.r.tolist())
+    entries = [shared.setdefault(e, e) for e in entries]
+    outs = (tuple(entries[i:j]) for i, j in itertools.pairwise(c.out.tolist()))
+    outs = [shared.setdefault(o, o) for o in outs]
+    by_action = [tuple(outs[i:j]) for i, j in itertools.pairwise(c.first.tolist())]
+    first = itertools.accumulate(map(len, g.actions_a), initial=0)
+    return [by_action[i:j] for i, j in itertools.pairwise(first)]
+
+
+def sharing(table):
+    """Per outcome and per case, the position of the first one that is the
+    same object: equal lists mean equal sharing."""
+    seen_e, seen_o, es, os = {}, {}, [], []
+    for row in table:
+        for outs in row:
+            for o in outs:
+                os.append(seen_o.setdefault(id(o), len(os)))
+                es += [seen_e.setdefault(id(e), len(es)) for e in o]
+    return es, os
+
+
+class TestCaseOutcomes:
+    @pytest.mark.parametrize("which", ["learn", 160, "relaxed", "negzero"])
+    def test_matches_the_dict_dedupe(self, which):
+        if which == "relaxed":
+            ifg = make_ifg(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)], [0], [[4]])
+            params = dataclasses.replace(RewardParams.defaults(1), strict_table=False,
+                                         cost_overrides={(2, 1): -2.5, (3, 1): -0.0})
+            g = build_game(ifg, params, FnRates(0.3, {(2, 1): 0.0, (3, 1): 0.6}))
+        else:
+            g = TestKernelGolden.build("learn" if which == "negzero" else which)
+        if which == "negzero":
+            # -0.0 == 0.0: the first of each group must be the one kept
+            r = g.cases.r.copy()
+            zero = np.flatnonzero(r.ravel() == 0.0)
+            r.ravel()[zero[1::2]] = -0.0
+            g.cases = g.cases._replace(r=r)
+        got, want = g.case_outcomes, dict_case_outcomes(g)
+        # repr tells -0.0 from 0.0 and compares floats bit for bit
+        assert repr(got) == repr(want)
+        assert sharing(got) == sharing(want)

@@ -24,7 +24,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from _dense import dense_best_response  # noqa: E402
 from diftgame.equilibrium import best_response  # noqa: E402
 from diftgame.game import ROOT, FnRates, Marginal, RewardParams, _levels, build_game  # noqa: E402
-from diftgame.ifg import IfgNode, RawLogGraph, prune_attack_subgraph, to_ifg  # noqa: E402
+from diftgame.ifg import (  # noqa: E402
+    IfgNode, RawLogGraph, generate_synthetic, prune_attack_subgraph, to_ifg,
+)
 from diftgame.policies import Policy, PolicyPair  # noqa: E402
 
 
@@ -105,6 +107,30 @@ def test_factored_build_matches_the_joint_action_rule(game):
             reach.add(s2)
             stack.append(s2)
     assert np.flatnonzero(game.reachable).tolist() == sorted(reach)
+
+
+def test_large_relaxed_build_matches_the_joint_action_rule():
+    """A 160-node game with strict_table off and cost (-0.0 among them) and
+    false-negative (0.0 among them) overrides, checked on seeded states."""
+    ifg = generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1)
+    rng = np.random.default_rng(160)
+    free = ifg.entries | set().union(*ifg.destinations)
+    chargeable = [i for i in range(ifg.n_nodes) if i not in free]
+    costs = {(int(i), int(j)): float(c) for i, j, c in zip(
+        rng.choice(chargeable, 40), rng.integers(1, 4, 40), rng.choice([-0.0, -0.5, -2.5], 40))}
+    rates = {(int(i), int(j)): float(r) for i, j, r in zip(
+        rng.integers(0, ifg.n_nodes, 60), rng.integers(1, 4, 60), rng.choice([0.0, 0.5, 0.9], 60))}
+    assert -0.0 in costs.values() and 0.0 in rates.values()
+    params = dataclasses.replace(RewardParams.defaults(3), strict_table=False, cost_overrides=costs)
+    game = build_game(ifg, params, FnRates(0.2, rates))
+    assert not (np.signbit(game.cost_d) & (game.cost_d == 0.0)).any()  # free costs are +0.0
+    states = [ROOT, *(game.state_index(i, j) for i, j in sorted(set(costs) | set(rates)))]
+    states += rng.choice(game.n_states, 60, replace=False).tolist()
+    for s in states:
+        for di, d in enumerate(game.actions_d[s]):
+            for ai, a in enumerate(game.actions_a[s]):
+                want = [(int(s2), *map(float, rest)) for s2, *rest in joint_rule(game, s, d, a)]
+                assert repr(list(game.outcomes(s, di, ai))) == repr(want), (s, d, a)
 
 
 def random_policy(rng, game, player):

@@ -20,20 +20,31 @@ of the player's ``Policy.flat``; phi, Delta and min_omega reduce it over the
 reachable rows.  Only :func:`omega`, :func:`exact_gradient` and
 :func:`best_response` return per-state tables; :class:`Residuals` holds none.
 
-:func:`best_response` and :func:`compare_defenses` need no matrix.  The
-game graph without its edges into the root is acyclic (the restart DAG),
-so a row weighting is evaluated exactly by back-substitution over the
-heights ``build_game`` computes (:meth:`Marginal.restart_solve`), with the
-same 1e-9 residual check.  Every policy-iteration round of
-:func:`best_response` evaluates its deterministic reply that way, and
-:func:`compare_defenses` gets each defender's gains from one such call per
-payoff against one marginal of the learned intruder.
-:func:`evaluate_policy_pair`, and so :func:`certify_arne`,
-:func:`exact_gradient`, :func:`omega`, :func:`residuals` and
-:func:`td_errors` when they evaluate the pair themselves, keep the dense
-route: ``perfbench`` reads its per-layer figures for ``induced_chain``,
-``classify_chain`` and the linear solves from it, so it stays until those
-figures are re-pointed (ROADMAP item 1).
+No other oracle needs a matrix.  The game graph without its edges into
+the root is acyclic (the restart DAG), so a row weighting is evaluated
+exactly by back-substitution over the heights ``build_game`` computes
+(:meth:`Marginal.restart_solve`), with the same 1e-9 residual check.  The
+oracles take these routes:
+
+* :func:`best_response`: one back-substitution per policy-iteration round,
+  of its deterministic reply.
+* :func:`compare_defenses`: one per payoff and defender, against one
+  marginal of the learned intruder.
+* :func:`exact_gradient`, :func:`omega`, :func:`residuals` and
+  :func:`td_errors`, when they evaluate the pair themselves: one per payoff
+  against one marginal of the intruder, whose lookahead also gives the
+  defender's slack rows, after the reachable rows of both policies are
+  validated.  The evaluation is linear in the payoff, so
+  :func:`exact_gradient` makes one, of both players' summed payoff.  Given
+  an evaluation, they use it instead.
+* :func:`evaluate_policy_pair`, and so :func:`certify_arne`: the dense
+  route.  ``perfbench`` reads its per-layer figures for ``induced_chain``,
+  ``expected_rewards``, ``classify_chain`` and the linear solves from the
+  certificate's evaluation, so it stays until those figures are re-pointed
+  (ROADMAP item 1).
+
+Every oracle that takes a policy pair first checks that it holds the
+defender's policy, then the intruder's.
 """
 
 from __future__ import annotations
@@ -153,8 +164,14 @@ def _solve_gain_bias(
     return gain, v, rec[0], resid
 
 
+def _check_order(pi: PolicyPair) -> None:
+    if pi.d.player != "D" or pi.a.player != "A":
+        raise ValueError("policy pair must hold the defender's then the intruder's policy")
+
+
 def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     """Exact gains and biases of both players under a fixed policy pair."""
+    _check_order(pi)
     R = np.flatnonzero(game.reachable)
     P = game.induced_chain(pi)[R[:, None], R]
     rd, ra = game.expected_rewards(pi)
@@ -175,19 +192,48 @@ def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     )
 
 
-def _slack(game: Game, pi: PolicyPair, rho: tuple, v: tuple, own: bool = True) -> dict:
+def _slack(
+    game: Game, pi: PolicyPair, rho: tuple, v: tuple, own: bool = True, lookahead_d: tuple = ()
+) -> dict:
     """Evaluation-equation slack per player, one entry per row of its
     marginal in the order of its ``Policy.flat``: rho[k] + v[k](s) minus the
     expected (payoff + next v[k]) when k plays the row at its state s against
     the opponent's mixture.  The payoff is k's own, or with ``own`` false
-    both players' summed.  Rows at unreachable states get zero."""
+    both players' summed.  Rows at unreachable states get zero.
+    ``lookahead_d``, when given, is the defender's marginal and that
+    expectation q per row, as :func:`_restart_eval` computed them."""
+    _check_order(pi)
     out = {}
     for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
-        m = game.marginalize(opp, player)
-        pay = m.r[k] if own else m.r.sum(axis=0)
-        out[player] = vec = rho[k] + v[k][m.state] - pay - m.expect(v[k])
+        if player == "D" and lookahead_d:
+            m, q = lookahead_d
+            vec = rho[k] + v[k][m.state] - q
+        else:
+            m = game.marginalize(opp, player)
+            pay = m.r[k] if own else m.r.sum(axis=0)
+            vec = rho[k] + v[k][m.state] - pay - m.expect(v[k])
         vec[~game.reachable[m.state]] = 0.0
+        out[player] = vec
     return out
+
+
+def _exact_slack(game: Game, pi: PolicyPair, own: bool = True) -> dict:
+    """:func:`_slack` at the pair's exact evaluation, made on the restart
+    DAG: no matrix, class split or linear solve.
+
+    The reachable rows of both policies are validated.  One marginal of the
+    intruder serves one :func:`_restart_eval` per payoff, or one of both
+    players' summed payoff with ``own`` false; the evaluation is linear in
+    the payoff, so that gives the summed gain and bias.  The lookahead of
+    the first payoff then gives the defender's slack rows."""
+    _check_order(pi)
+    for pol in (pi.d, pi.a):
+        pol._validate(game, live=game.reachable)
+    m = game.marginalize(pi.a, "D")
+    pays = m.r if own else (m.r[0] + m.r[1],)
+    evals = [_restart_eval(game, m, pi.d.flat, pay) for pay in pays]
+    (rho_d, v_d, q), (rho_a, v_a, _) = evals if own else evals * 2
+    return _slack(game, pi, (rho_d, rho_a), (v_d, v_a), own, (m, q))
 
 
 def _rows(first: np.ndarray, vec: np.ndarray) -> list[np.ndarray]:
@@ -217,8 +263,10 @@ def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTabl
     evaluation the policy-weighted slack vanishes state by state, and at an
     equilibrium no entry is meaningfully negative.
     """
-    ev = ev or evaluate_policy_pair(game, pi)
-    slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    if ev is None:
+        slack = _exact_slack(game, pi)
+    else:
+        slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
     return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
@@ -243,10 +291,8 @@ def td_errors(
     """
     if (rho is None) != (v is None):
         raise ValueError("pass both rho and v, or neither")
-    if rho is None:
-        ev = evaluate_policy_pair(game, pi)
-        rho, v = (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a)
-    phi_d, phi_a = _phis(game, pi, _slack(game, pi, rho, v))
+    slack = _exact_slack(game, pi) if rho is None else _slack(game, pi, rho, v)
+    phi_d, phi_a = _phis(game, pi, slack)
     return phi_d, phi_a, phi_d + phi_a
 
 
@@ -259,16 +305,18 @@ def exact_gradient(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> 
     marginalized.  Slack is linear in payoff, gain and bias, so that sum is
     the slack of the summed payoffs against the summed gains and biases.
     """
-    ev = ev or evaluate_policy_pair(game, pi)
-    rho, v = ev.rho_d + ev.rho_a, ev.v_d + ev.v_a
-    slack = _slack(game, pi, (rho, rho), (v, v), own=False)
+    if ev is None:
+        slack = _exact_slack(game, pi, own=False)
+    else:
+        rho, v = ev.rho_d + ev.rho_a, ev.v_d + ev.v_a
+        slack = _slack(game, pi, (rho, rho), (v, v), own=False)
     return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
 def _restart_eval(
     game: Game, m: Marginal, w: np.ndarray, pay: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Gain and per-row lookahead q = pay + E v, with v the bias, when
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gain, bias v and per-row lookahead q = pay + E v when
     ``m``'s rows are played with weights ``w`` and pay ``pay``, by
     back-substitution on the restart DAG (:meth:`Marginal.restart_solve`).
     Raises ``UnichainViolationError`` unless gain + v(s) = sum_b w_b q_b
@@ -279,7 +327,7 @@ def _restart_eval(
     resid = float(np.abs(slack[game.reachable]).max())
     if not resid <= 1e-9:
         raise UnichainViolationError(f"evaluation residual {resid:.3g} exceeds 1e-9")
-    return gain, q
+    return gain, v, q
 
 
 def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, float]:
@@ -307,7 +355,7 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
 
     max_rounds = 10 + int(np.diff(m.first)[R].sum())
     for _ in range(max_rounds):
-        gain, q = _restart_eval(game, m, np.bincount(choice, minlength=len(r)), r)
+        gain, _, q = _restart_eval(game, m, np.bincount(choice, minlength=len(r)), r)
         # the first row within 1e-10 of its state's max: rows tied in exact
         # arithmetic pick the same candidate whatever the rounding
         hits = np.flatnonzero(q >= np.maximum.reduceat(q, heads)[m.state] - 1e-10)
@@ -327,8 +375,10 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
-    ev = ev or evaluate_policy_pair(game, pi)
-    slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    if ev is None:
+        slack = _exact_slack(game, pi)
+    else:
+        slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
     phi_d, phi_a = _phis(game, pi, slack)
     min_om = min(float(vec[_live(game, k)].min()) for k, vec in slack.items())
     return Residuals(phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
@@ -337,8 +387,10 @@ def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Resid
 def _sharing_marginals(game: Game, pi: PolicyPair) -> Game:
     """A shallow copy of ``game`` whose ``marginalize`` builds the marginal
     against each policy of ``pi`` once and then hands it out again, so that
-    :func:`residuals` and both best responses share two marginals.  They
-    stay public calls, which ``perfbench`` traces."""
+    :func:`evaluate_policy_pair` (through ``Game.induced_chain`` and
+    ``Game.expected_rewards``), :func:`residuals` and both best responses
+    share two marginals.  They stay public calls, which ``perfbench``
+    traces."""
     shared, built = copy.copy(game), {}
 
     def marginalize(opponent, actor: str) -> Marginal:
@@ -357,13 +409,14 @@ def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:
 
     Gap of player k is how much gain k could add by switching to a best
     response while the opponent stays put.  The verdict also requires no
-    meaningfully negative residual and a near-zero aggregate.  The residuals
-    and both best responses share one marginal of each opponent policy.
+    meaningfully negative residual and a near-zero aggregate.  The
+    evaluation, the residuals and both best responses share one marginal of
+    each opponent policy.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    ev = evaluate_policy_pair(game, pi)
     game = _sharing_marginals(game, pi)
+    ev = evaluate_policy_pair(game, pi)
     res = residuals(game, pi, ev)
     br_d_gain = best_response(game, pi.a, "D")[1]
     br_a_gain = best_response(game, pi.d, "A")[1]
@@ -394,8 +447,7 @@ def compare_defenses(game: Game, learned: PolicyPair) -> list[tuple[str, float, 
     rows as weights and the same 1e-9 residual check as
     :func:`best_response`.  The pair is validated first.
     """
-    if learned.d.player != "D" or learned.a.player != "A":
-        raise ValueError("policy pair must hold the defender's then the intruder's policy")
+    _check_order(learned)
     learned.d.validate(game)
     learned.a.validate(game)
     m = game.marginalize(learned.a, "D")

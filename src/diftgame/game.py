@@ -329,8 +329,9 @@ def _levels(m: Marginal, height: np.ndarray) -> Levels:
 @dataclass
 class Game:
     """Built game: state indexing, action sets, case table, restart-DAG
-    heights, marginal frames, and on first use the case table as Python
-    values for sampling (:attr:`case_outcomes`)."""
+    heights, marginal frames, each player's rows grouped by action count,
+    and on first use the case table as Python values for sampling
+    (:attr:`case_outcomes`)."""
 
     ifg: Ifg
     params: RewardParams
@@ -346,6 +347,7 @@ class Game:
     height: np.ndarray = field(repr=False)  # in the restart DAG; -1 if unreachable
     frames: dict = field(repr=False)
     target_d: np.ndarray = field(repr=False)  # inspected state per defender row, -1 idle
+    row_blocks: dict = field(repr=False)  # per player, as :func:`_row_blocks` gives them
 
     @property
     def n_states(self) -> int:
@@ -453,6 +455,16 @@ class Game:
         w = pi.d.flat
         rd, ra = (np.bincount(m.state, w * r, minlength=self.n_states) for r in m.r)
         return rd, ra
+
+
+def _row_blocks(first: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (states, positions) pair per action count k that occurs, when
+    state s owns rows ``first[s]`` to ``first[s + 1] - 1``: the states with k
+    actions, and the (states, k) block of their rows' positions.
+    :meth:`Policy.validate` gathers a policy's rows by them."""
+    sizes = np.diff(first)
+    ks = np.flatnonzero(np.bincount(sizes))  # np.unique would import numpy.ma
+    return [(rows := np.flatnonzero(sizes == k), first[rows, None] + np.arange(k)) for k in ks.tolist()]
 
 
 def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -581,7 +593,8 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
     return Game(ifg=ifg, params=params, fn=fn_arr, node_of=node_of, stage_of=stage_of,
                 is_dest=is_dest, cost_d=cost_d, actions_d=actions_d, actions_a=actions_a,
                 reachable=height >= 0, cases=c, height=height, target_d=tgt_d,
-                frames={"D": (f_d, u_d, v_d), "A": (f_a, row, off)})
+                frames={"D": (f_d, u_d, v_d), "A": (f_a, row, off)},
+                row_blocks={"D": _row_blocks(first_d), "A": _row_blocks(first_a)})
 
 
 def classify_chain(P: np.ndarray) -> tuple[list[set[int]], set[int]]:

@@ -51,12 +51,20 @@ class Policy:
         """Raise ``ValueError`` unless every row is a finite probability
         vector over its state's actions, each entry at least ``floor``.
 
-        Sums and minima come from one ``(rows, k)`` block per row length k,
-        so NaN or inf fails the comparisons.  A block row sums in the order
-        of ``vec.sum()``, so a sum within rounding of ``atol`` gets the
-        verdict of a row-by-row check (``np.add.reduceat`` would not).
+        Sums and minima come from one ``(rows, k)`` block per row length k
+        (:attr:`Game.row_blocks`), so NaN or inf fails the comparisons.  A
+        block row sums in the order of ``vec.sum()``, so a sum within
+        rounding of ``atol`` gets the verdict of a row-by-row check
+        (``np.add.reduceat`` would not).
         """
-        sizes = np.diff(game.frames["D" if self.player == "D" else "A"][0].first)
+        self._validate(game, floor, atol)
+
+    def _validate(self, game: Game, floor: float = 0.0, atol: float = 1e-9,
+                  live: np.ndarray | None = None) -> None:
+        """:meth:`validate`; with the state mask ``live``, the values of
+        rows at other states go unchecked (their lengths still are)."""
+        player = "D" if self.player == "D" else "A"
+        sizes = np.diff(game.frames[player][0].first)
         if len(self.first) != len(sizes) + 1:
             raise ValueError("policy table length != state count")
         if (wrong := np.diff(self.first) != sizes).any():
@@ -64,11 +72,12 @@ class Policy:
             raise ValueError(f"state {s}: {len(self.table[s])} probs for {sizes[s]} actions")
         ok = np.empty(len(sizes), dtype=bool)
         with np.errstate(invalid="ignore", over="ignore"):
-            for k in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
-                rows = np.flatnonzero(sizes == k)
-                block = self.flat[self.first[rows, None] + np.arange(k)]
+            for rows, at in game.row_blocks[player]:
+                block = self.flat[at]
                 sums, mins = block.sum(axis=1), block.min(axis=1)
                 ok[rows] = (np.abs(sums - 1.0) <= atol) & (mins >= floor - atol)
+        if live is not None:
+            ok |= ~live
         if not ok.all():
             s = int(np.argmin(ok))
             raise ValueError(f"state {s}: probabilities invalid: {self.table[s]}")

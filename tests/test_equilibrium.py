@@ -632,9 +632,10 @@ class TestCertification:
         monkeypatch.setattr(Game, "marginalize",
                             lambda g, opp, actor: calls.append(actor) or marginalize(g, opp, actor))
         cert = certify_arne(synth, pair, tol=0.5)
-        # induced_chain and expected_rewards marginalize once each; residuals'
-        # slack builds one marginal per player, which both best responses reuse
-        assert calls == ["D", "D", "D", "A"]
+        # the evaluation's induced_chain and expected_rewards share the
+        # intruder's marginal; residuals' slack adds the defender's, and both
+        # best responses reuse the two
+        assert calls == ["D", "A"]
         assert cert.gaps == gaps
         assert (cert.delta, cert.min_omega) == (res.delta, res.min_omega)
         assert cert.phi == {"D": res.phi_d, "A": res.phi_a, "T": res.phi_t}
@@ -651,6 +652,39 @@ class TestCertification:
         assert set(data) == {"gaps", "delta", "min_omega", "phi", "verdict", "tol"}
         assert data["verdict"] == cert.verdict
         assert data["gaps"]["D"] == pytest.approx(cert.gaps["D"])
+
+
+class TestPairOrder:
+    """Every oracle that takes a policy pair rejects one whose policies are
+    swapped, before any array arithmetic can mix the players' rows up."""
+
+    ORACLES = {
+        "evaluate_policy_pair": lambda g, pi, ev: evaluate_policy_pair(g, pi),
+        "certify_arne": lambda g, pi, ev: certify_arne(g, pi, 0.5),
+        "compare_defenses": lambda g, pi, ev: compare_defenses(g, pi),
+        "exact_gradient": lambda g, pi, ev: exact_gradient(g, pi),
+        "exact_gradient at ev": exact_gradient,
+        "omega": lambda g, pi, ev: omega(g, pi),
+        "omega at ev": omega,
+        "residuals": lambda g, pi, ev: residuals(g, pi),
+        "residuals at ev": residuals,
+        "td_errors": lambda g, pi, ev: td_errors(g, pi),
+        "td_errors at ev": lambda g, pi, ev: td_errors(
+            g, pi, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a)
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def game40(self):
+        ifg = generate_synthetic(40, 3, 2, (1, 1, 1), 0.1, 1)
+        return build_game(ifg, RewardParams.defaults(3), FnRates(default=0.2))
+
+    @pytest.mark.parametrize("oracle", list(ORACLES))
+    def test_swapped_pair_raises(self, game40, oracle):
+        pair = dirichlet_pair(game40, 1)
+        ev = evaluate_policy_pair(game40, pair)
+        with pytest.raises(ValueError, match="defender's then the intruder's"):
+            self.ORACLES[oracle](game40, PolicyPair(pair.a, pair.d), ev)
 
 
 class TestCompareDefenses:

@@ -61,7 +61,6 @@ from .equilibrium import (
     exact_gradient,
     omega,
     residuals,
-    stationary_distribution,
     td_errors,
 )
 from .training import (
@@ -90,8 +89,7 @@ __all__ = [
     "Env", "rollout_average",
     "Certificate", "EvalResult", "Residuals", "UnichainViolationError",
     "best_response", "certify_arne", "compare_defenses", "delta",
-    "evaluate_policy_pair", "exact_gradient", "omega", "residuals",
-    "stationary_distribution", "td_errors",
+    "evaluate_policy_pair", "exact_gradient", "omega", "residuals", "td_errors",
     "TrainConfig", "TrainHistory", "TrainerState", "init_trainer", "schedules",
     "td_residual", "train", "train_step",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -336,7 +337,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs about 20 parses."""
     p = argparse.ArgumentParser(prog="diftgame", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -350,20 +353,17 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dests", default="1,1,1", help="targets per stage, comma separated")
     g.add_argument("--density", type=float, default=0.25)
     g.add_argument("--seed", type=int, default=0)
-    g.set_defaults(func=cmd_gen_graph)
 
     pr = sub.add_parser("prune", help="reduce a raw log graph to the attack subgraph")
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--out", required=True)
     pr.add_argument("--merge", action="append", metavar="PREFIX=LABEL")
-    pr.set_defaults(func=cmd_prune)
 
     tr = sub.add_parser("train", help="learn an equilibrium policy pair")
     tr.add_argument("--config", required=True)
     tr.add_argument("--seed", type=int)
     tr.add_argument("--iters", type=int)
     tr.add_argument("--out")
-    tr.set_defaults(func=cmd_train)
 
     ce = sub.add_parser("certify", help="certify a policy pair")
     ce.add_argument("--config", required=True)
@@ -371,14 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--policy-a", required=True)
     ce.add_argument("--tol", type=float)
     ce.add_argument("--out")
-    ce.set_defaults(func=cmd_certify)
 
     co = sub.add_parser("compare", help="compare defender baselines")
     co.add_argument("--config", required=True)
     co.add_argument("--policy-d", required=True)
     co.add_argument("--policy-a", required=True)
     co.add_argument("--out")
-    co.set_defaults(func=cmd_compare)
     return p
 
 
@@ -388,8 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
+    try:  # looked up per call, so a patched cmd_* takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, *CONFIG_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -98,19 +98,20 @@ def rollout_average(
     step counter.  The loop body works on plain Python floats and lists;
     long Monte-Carlo runs are two orders of magnitude faster that way than
     through per-step array ops.  The pair is validated against the env's
-    game first: a malformed row would otherwise sample its first action.
+    game first (``PolicyPair.validate``): a malformed row would otherwise
+    sample its first action.
     """
     from bisect import bisect_right
 
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     steps = operator.index(steps)  # a numpy integer would make the averages numpy floats
-    if pi.d.player != "D" or pi.a.player != "A":
-        raise ValueError("policy pair must hold the defender's then the intruder's policy")
-    pi.d.validate(env._game)
-    pi.a.validate(env._game)
-    cum_d = [np.cumsum(v).tolist() for v in pi.d.table]
-    cum_a = [np.cumsum(v).tolist() for v in pi.a.table]
+    game = env._game
+    pi.validate(game)
+    cum_d, cum_a = (
+        [np.cumsum(w[i:j]).tolist() for i, j in itertools.pairwise(pol.first.tolist())]
+        for pol in (pi.d, pi.a) for w in (game._weights(pol.player, pol.flat),)
+    )
     rows = env._rows
     total_d = 0.0
     total_a = 0.0

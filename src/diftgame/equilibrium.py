@@ -33,8 +33,7 @@ oracles take these routes:
 * :func:`exact_gradient`, :func:`omega`, :func:`residuals` and
   :func:`td_errors`, when they evaluate the pair themselves: one per payoff
   against one marginal of the intruder, whose lookahead also gives the
-  defender's slack rows, after the reachable rows of both policies are
-  validated.  The evaluation is linear in the payoff, so
+  defender's slack rows.  The evaluation is linear in the payoff, so
   :func:`exact_gradient` makes one, of both players' summed payoff.  Given
   an evaluation, they use it instead.
 * :func:`evaluate_policy_pair`, and so :func:`certify_arne`: the dense
@@ -43,8 +42,10 @@ oracles take these routes:
   certificate's evaluation, so it stays until those figures are re-pointed
   (ROADMAP item 1).
 
-Every oracle that takes a policy pair first checks that it holds the
-defender's policy, then the intruder's.
+Every oracle that takes a policy pair first calls
+:meth:`PolicyPair.validate`, and :func:`best_response` checks its opponent
+the same way.  Rows at unreachable states go unchecked and, read through
+:meth:`Game._weights`, have no effect.
 """
 
 from __future__ import annotations
@@ -113,25 +114,6 @@ class Certificate:
             fh.write("\n")
 
 
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of an irreducible row-stochastic matrix."""
-    rec, trans = classify_chain(P)
-    if len(rec) != 1 or trans:
-        raise UnichainViolationError("matrix is not irreducible")
-    n = P.shape[0]
-    A = np.vstack([(P.T - np.eye(n))[:-1], np.ones(n)])
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        p = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise UnichainViolationError(f"singular stationary system: {exc}") from exc
-    if p.min() < -1e-10:
-        raise UnichainViolationError("stationary solve produced negative mass")
-    p = np.maximum(p, 0.0)
-    return p / p.sum()
-
-
 def _solve_gain_bias(
     P: np.ndarray, rbar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, set[int], float]:
@@ -164,14 +146,9 @@ def _solve_gain_bias(
     return gain, v, rec[0], resid
 
 
-def _check_order(pi: PolicyPair) -> None:
-    if pi.d.player != "D" or pi.a.player != "A":
-        raise ValueError("policy pair must hold the defender's then the intruder's policy")
-
-
 def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     """Exact gains and biases of both players under a fixed policy pair."""
-    _check_order(pi)
+    pi.validate(game)
     R = np.flatnonzero(game.reachable)
     P = game.induced_chain(pi)[R[:, None], R]
     rd, ra = game.expected_rewards(pi)
@@ -202,7 +179,6 @@ def _slack(
     both players' summed.  Rows at unreachable states get zero.
     ``lookahead_d``, when given, is the defender's marginal and that
     expectation q per row, as :func:`_restart_eval` computed them."""
-    _check_order(pi)
     out = {}
     for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
         if player == "D" and lookahead_d:
@@ -221,19 +197,31 @@ def _exact_slack(game: Game, pi: PolicyPair, own: bool = True) -> dict:
     """:func:`_slack` at the pair's exact evaluation, made on the restart
     DAG: no matrix, class split or linear solve.
 
-    The reachable rows of both policies are validated.  One marginal of the
-    intruder serves one :func:`_restart_eval` per payoff, or one of both
-    players' summed payoff with ``own`` false; the evaluation is linear in
-    the payoff, so that gives the summed gain and bias.  The lookahead of
-    the first payoff then gives the defender's slack rows."""
-    _check_order(pi)
-    for pol in (pi.d, pi.a):
-        pol._validate(game, live=game.reachable)
+    One marginal of the intruder serves one :func:`_restart_eval` per
+    payoff, or one of both players' summed payoff with ``own`` false; the
+    evaluation is linear in the payoff, so that gives the summed gain and
+    bias.  The lookahead of the first payoff then gives the defender's slack
+    rows."""
     m = game.marginalize(pi.a, "D")
     pays = m.r if own else (m.r[0] + m.r[1],)
-    evals = [_restart_eval(game, m, pi.d.flat, pay) for pay in pays]
+    w = game._weights("D", pi.d.flat)
+    evals = [_restart_eval(game, m, w, pay) for pay in pays]
     (rho_d, v_d, q), (rho_a, v_a, _) = evals if own else evals * 2
     return _slack(game, pi, (rho_d, rho_a), (v_d, v_a), own, (m, q))
+
+
+def _pair_slack(game: Game, pi: PolicyPair, ev=None, own: bool = True) -> dict:
+    """Validate ``pi``, then take its :func:`_slack` at ``ev``: an
+    :class:`EvalResult`, the iterates ``(rho, v)`` as :func:`td_errors`
+    takes them, or ``None`` for the exact evaluation (:func:`_exact_slack`).
+    With ``own`` false the gains and biases are summed, as the payoffs are."""
+    pi.validate(game)
+    if ev is None:
+        return _exact_slack(game, pi, own)
+    rho, v = ((ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a)) if isinstance(ev, EvalResult) else ev
+    if not own:
+        rho, v = (rho[0] + rho[1],) * 2, (v[0] + v[1],) * 2
+    return _slack(game, pi, rho, v, own)
 
 
 def _rows(first: np.ndarray, vec: np.ndarray) -> list[np.ndarray]:
@@ -241,16 +229,11 @@ def _rows(first: np.ndarray, vec: np.ndarray) -> list[np.ndarray]:
     return [vec[i:j] for i, j in itertools.pairwise(first.tolist())]
 
 
-def _live(game: Game, player: str) -> np.ndarray:
-    """Mask of the player's rows at reachable states."""
-    return game.reachable[game.frames[player][0].state]
-
-
 def _phis(game: Game, pi: PolicyPair, slack: dict[str, np.ndarray]) -> list[float]:
     """Policy-weighted slack sums (phi_D, phi_A) over the reachable rows only."""
     out = []
     for k, pol in (("D", pi.d), ("A", pi.a)):
-        live = _live(game, k)
+        live = game._live(k)
         out.append(float(pol.flat[live] @ slack[k][live]))
     return out
 
@@ -263,15 +246,13 @@ def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTabl
     evaluation the policy-weighted slack vanishes state by state, and at an
     equilibrium no entry is meaningfully negative.
     """
-    if ev is None:
-        slack = _exact_slack(game, pi)
-    else:
-        slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    slack = _pair_slack(game, pi, ev)
     return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
 def delta(game: Game, pi: PolicyPair, om: OmegaTable) -> float:
     """Policy-weighted aggregate of all residuals (zero at exact evaluation)."""
+    pi.validate(game)
     return sum(_phis(game, pi, {k: np.concatenate(om[k]) for k in ("D", "A")}))
 
 
@@ -291,7 +272,7 @@ def td_errors(
     """
     if (rho is None) != (v is None):
         raise ValueError("pass both rho and v, or neither")
-    slack = _exact_slack(game, pi) if rho is None else _slack(game, pi, rho, v)
+    slack = _pair_slack(game, pi, None if rho is None else (rho, v))
     phi_d, phi_a = _phis(game, pi, slack)
     return phi_d, phi_a, phi_d + phi_a
 
@@ -305,11 +286,7 @@ def exact_gradient(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> 
     marginalized.  Slack is linear in payoff, gain and bias, so that sum is
     the slack of the summed payoffs against the summed gains and biases.
     """
-    if ev is None:
-        slack = _exact_slack(game, pi, own=False)
-    else:
-        rho, v = ev.rho_d + ev.rho_a, ev.v_d + ev.v_a
-        slack = _slack(game, pi, (rho, rho), (v, v), own=False)
+    slack = _pair_slack(game, pi, ev, own=False)
     return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
@@ -346,7 +323,7 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
         raise ValueError(f"bad player {player!r}")
     if opponent.player != ("A" if player == "D" else "D"):
         raise ValueError("opponent policy is for the wrong player")
-    opponent.validate(game)
+    opponent._validate(game, live=game.reachable)  # as PolicyPair.validate does
     m = game.marginalize(opponent, player)
     r = m.r[0 if player == "D" else 1]
     R = np.flatnonzero(game.reachable)
@@ -375,12 +352,9 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
-    if ev is None:
-        slack = _exact_slack(game, pi)
-    else:
-        slack = _slack(game, pi, (ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a))
+    slack = _pair_slack(game, pi, ev)
     phi_d, phi_a = _phis(game, pi, slack)
-    min_om = min(float(vec[_live(game, k)].min()) for k, vec in slack.items())
+    min_om = min(float(vec[game._live(k)].min()) for k, vec in slack.items())
     return Residuals(phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
 
 
@@ -415,6 +389,7 @@ def certify_arne(game: Game, pi: PolicyPair, tol: float) -> Certificate:
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    pi.validate(game)
     game = _sharing_marginals(game, pi)
     ev = evaluate_policy_pair(game, pi)
     res = residuals(game, pi, ev)
@@ -445,11 +420,9 @@ def compare_defenses(game: Game, learned: PolicyPair) -> list[tuple[str, float, 
     learned intruder serves all three defenders, and each gain is one
     back-substitution on the restart DAG per payoff, with the defender's
     rows as weights and the same 1e-9 residual check as
-    :func:`best_response`.  The pair is validated first.
+    :func:`best_response`.
     """
-    _check_order(learned)
-    learned.d.validate(game)
-    learned.a.validate(game)
+    learned.validate(game)
     m = game.marginalize(learned.a, "D")
     rows = []
     for name, pol_d in (
@@ -457,6 +430,7 @@ def compare_defenses(game: Game, learned: PolicyPair) -> list[tuple[str, float, 
         ("uniform", uniform_policy(game, "D")),
         ("cut", cut_policy(game)),
     ):
-        rho_d, rho_a = (_restart_eval(game, m, pol_d.flat, pay)[0] for pay in m.r)
+        w = game._weights("D", pol_d.flat)
+        rho_d, rho_a = (_restart_eval(game, m, w, pay)[0] for pay in m.r)
         rows.append((name, rho_d, rho_a))
     return rows

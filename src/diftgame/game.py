@@ -431,28 +431,36 @@ class Game:
             raise InvalidActionError(f"no joint action ({di}, {ai}) at state {s}")
         return self.case_outcomes[s][ai][0 if di == 0 else 2 if di == ai + 1 else 1]
 
+    def _live(self, player: str) -> np.ndarray:
+        """Mask of the player's rows at reachable states."""
+        return self.reachable[self.frames[player][0].state]
+
+    def _weights(self, player: str, w: np.ndarray) -> np.ndarray:
+        """The player's per-row weights ``w`` as every oracle reads them: a
+        NaN or inf weight at an unreachable state counts as 0, so it cannot
+        turn arithmetic invalid; every other weight is used as given."""
+        return np.where(self._live(player) | np.isfinite(w), w, 0.0)
+
     def marginalize(self, opponent, actor: str) -> Marginal:
         """The game as seen by ``actor`` while ``opponent`` plays its mixture.
         ``frames[actor]`` holds the actor's outcomes, ``prob`` and ``r`` per
-        outcome, weighted here by the opponent's slot ``u`` less slot ``v``.
-        A NaN or inf weight at an unreachable state counts as 0, so it
-        cannot turn arithmetic invalid; every other weight is used as given,
-        and rows at reachable states read only weights at their own state."""
+        outcome, weighted here by the opponent's slot ``u`` less slot ``v``
+        (:meth:`_weights`); rows at reachable states read only weights at
+        their own state."""
         m, u, v = self.frames[actor]
-        o = self.frames["A" if actor == "D" else "D"][0]
-        w = opponent.flat
-        x = o.slots(np.where(self.reachable[o.state] | np.isfinite(w), w, 0.0))
+        opp = "A" if actor == "D" else "D"
+        x = self.frames[opp][0].slots(self._weights(opp, opponent.flat))
         prob = m.prob * (x[u] - x[v])
         return m._replace(r=np.array([m._sum(prob * pay) for pay in m.r]), prob=prob)
 
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
-        return self.marginalize(pi.a, "D").chain(pi.d.flat)
+        return self.marginalize(pi.a, "D").chain(self._weights("D", pi.d.flat))
 
     def expected_rewards(self, pi) -> tuple[np.ndarray, np.ndarray]:
         """Per-state expected one-step payoffs under a policy pair."""
         m = self.marginalize(pi.a, "D")
-        w = pi.d.flat
+        w = self._weights("D", pi.d.flat)
         rd, ra = (np.bincount(m.state, w * r, minlength=self.n_states) for r in m.r)
         return rd, ra
 

@@ -51,11 +51,11 @@ class Policy:
         """Raise ``ValueError`` unless every row is a finite probability
         vector over its state's actions, each entry at least ``floor``.
 
-        Sums and minima come from one ``(rows, k)`` block per row length k
-        (:attr:`Game.row_blocks`), so NaN or inf fails the comparisons.  A
-        block row sums in the order of ``vec.sum()``, so a sum within
-        rounding of ``atol`` gets the verdict of a row-by-row check
-        (``np.add.reduceat`` would not).
+        Sums come from one ``(rows, k)`` block per row length k
+        (:attr:`Game.row_blocks`), minima from one ``np.minimum.reduceat``,
+        so NaN or inf fails the comparisons.  A block row sums in the order
+        of ``vec.sum()``, so a sum within rounding of ``atol`` gets the
+        verdict of a row-by-row check (``np.add.reduceat`` would not).
         """
         self._validate(game, floor, atol)
 
@@ -64,18 +64,19 @@ class Policy:
         """:meth:`validate`; with the state mask ``live``, the values of
         rows at other states go unchecked (their lengths still are)."""
         player = "D" if self.player == "D" else "A"
-        sizes = np.diff(game.frames[player][0].first)
-        if len(self.first) != len(sizes) + 1:
-            raise ValueError("policy table length != state count")
-        if (wrong := np.diff(self.first) != sizes).any():
-            s = int(np.argmax(wrong))
+        first = game.frames[player][0].first  # equal offsets, equal row lengths
+        if self.first is not first and not np.array_equal(self.first, first):
+            if len(self.first) != len(first):
+                raise ValueError("policy table length != state count")
+            sizes = np.diff(first)
+            s = int(np.argmax(np.diff(self.first) != sizes))
             raise ValueError(f"state {s}: {len(self.table[s])} probs for {sizes[s]} actions")
-        ok = np.empty(len(sizes), dtype=bool)
+        sums = np.empty(len(first) - 1)
         with np.errstate(invalid="ignore", over="ignore"):
             for rows, at in game.row_blocks[player]:
-                block = self.flat[at]
-                sums, mins = block.sum(axis=1), block.min(axis=1)
-                ok[rows] = (np.abs(sums - 1.0) <= atol) & (mins >= floor - atol)
+                sums[rows] = self.flat[at].sum(axis=1)
+            mins = np.minimum.reduceat(self.flat, self.first[:-1])  # exact in any order
+            ok = (np.abs(sums - 1.0) <= atol) & (mins >= floor - atol)
         if live is not None:
             ok |= ~live
         if not ok.all():
@@ -93,6 +94,17 @@ class PolicyPair:
 
     def copy(self) -> PolicyPair:
         return PolicyPair(self.d.copy(), self.a.copy())
+
+    def validate(self, game: Game) -> None:
+        """Raise ``ValueError`` unless the pair holds the defender's policy,
+        then the intruder's, each with one row of the right length per
+        state, and every row at a reachable state is a finite probability
+        vector.  Rows at unreachable states have no effect on any oracle
+        (:meth:`Game._weights`), so their values go unchecked."""
+        if self.d.player != "D" or self.a.player != "A":
+            raise ValueError("policy pair must hold the defender's then the intruder's policy")
+        for pol in (self.d, self.a):
+            pol._validate(game, live=game.reachable)
 
 
 def uniform_policy(game: Game, player: str) -> Policy:

@@ -1,4 +1,4 @@
-"""Dense policy iteration: the best-response oracle for the tests.
+"""Dense oracles for the tests: policy iteration and stationary distributions.
 
 This is the route ``equilibrium.best_response`` took before it evaluated
 each round by back-substitution on the restart DAG.  Every round weighs the
@@ -7,13 +7,34 @@ solves it with ``equilibrium._solve_gain_bias`` (``classify_chain`` and one
 dense LU); the improvement step walks the states one by one in Python.  A
 state's candidate is its first action within 1e-10 of the best lookahead,
 so actions tied in exact arithmetic are told apart the same way on both
-routes, whatever their rounding.
+routes, whatever their rounding.  ``stationary_distribution`` gives the
+independent gain oracle: stationary averages on the recurrent class.
 """
 
 import numpy as np
 
 from diftgame.equilibrium import UnichainViolationError, _solve_gain_bias
+from diftgame.game import classify_chain
 from diftgame.policies import Policy
+
+
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Unique stationary distribution of an irreducible row-stochastic matrix."""
+    rec, trans = classify_chain(P)
+    if len(rec) != 1 or trans:
+        raise UnichainViolationError("matrix is not irreducible")
+    n = P.shape[0]
+    A = np.vstack([(P.T - np.eye(n))[:-1], np.ones(n)])
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        p = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise UnichainViolationError(f"singular stationary system: {exc}") from exc
+    if p.min() < -1e-10:
+        raise UnichainViolationError("stationary solve produced negative mass")
+    p = np.maximum(p, 0.0)
+    return p / p.sum()
 
 
 def dense_best_response(game, opponent, player):

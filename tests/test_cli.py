@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diftgame.cli import main
+from diftgame.cli import _game_from_config, main
 from diftgame.game import FnRates, RewardParams, build_game
 from diftgame.ifg import Ifg, IfgNode, load_graph, save_graph
-from diftgame.policies import load_policy, save_policy, uniform_policy
+from diftgame.policies import load_policy, policy_from_json, policy_to_json, save_policy, uniform_policy
 
 
 @pytest.fixture
@@ -468,21 +468,28 @@ JSON_VALUES = st.one_of(
 
 
 @st.composite
-def mutated_configs(draw):
-    cfg = _small_config(draw(st.booleans()))
+def mutated(draw, doc):
+    """A copy of the JSON value ``doc`` with one to three values replaced
+    by arbitrary JSON or object keys deleted."""
+    doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(1, 3))):
-        paths = list(_paths(cfg))
+        paths = list(_paths(doc))
         if not paths:
             break
         *parent, key = draw(st.sampled_from(paths))
-        target = cfg
+        target = doc
         for k in parent:
             target = target[k]
         if isinstance(target, dict) and draw(st.booleans()):
             del target[key]
         else:
             target[key] = draw(JSON_VALUES)
-    return cfg
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    return draw(mutated(_small_config(draw(st.booleans()))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,6 +502,36 @@ def test_mutated_config_never_exits_3(cfg):
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         assert main(["train", "--config", path, "--out", f"{tmp}/run"]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["certify", "compare"])
+@settings(max_examples=40, deadline=None)
+@given(player=st.sampled_from("DA"), data=st.data())
+def test_mutated_policy_file_never_exits_3(command, player, data):
+    # a policy file that policy_from_json rejects (wrong types, NaN or inf,
+    # a bad row at any state, missing keys) is a usage error (2); one it
+    # accepts is checked or compared (0 or 1), or assigned to the wrong
+    # player (2); never a runtime failure (3)
+    cfg = _small_config(False)
+    game = _game_from_config(cfg)
+    docs = {p: policy_to_json(game, uniform_policy(game, p)) for p in "DA"}
+    docs[player] = data.draw(mutated(docs[player]))
+    try:
+        policy_from_json(game, docs[player])
+        malformed = False
+    except Exception:
+        malformed = True
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for p, doc in docs.items():
+            paths[p] = f"{tmp}/{p}.json"
+            with open(paths[p], "w") as fh:
+                json.dump(doc, fh)
+        with open(f"{tmp}/cfg.json", "w") as fh:
+            json.dump(cfg, fh)
+        rc = main([command, "--config", f"{tmp}/cfg.json", "--policy-d", paths["D"],
+                   "--policy-a", paths["A"], "--out", f"{tmp}/out"])
+    assert rc == 2 if malformed else rc in (0, 1, 2)
 
 
 class TestCertifyCompare:
@@ -685,6 +722,13 @@ class TestParser:
         from diftgame import __version__
 
         assert __version__ in capsys.readouterr().out
+
+    def test_parser_built_once_and_commands_looked_up_per_call(self, monkeypatch):
+        from diftgame import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "cmd_prune", lambda args: 7)
+        assert main(["prune", "--in", "raw.json", "--out", "pruned.json"]) == 7
 
     def test_graph_file_route(self, tmp_path, capsys):
         # config pointing at a graph file instead of a synthetic spec

@@ -7,12 +7,12 @@ payoff divided by cycle length.
 """
 
 import itertools
-import pathlib
 
 import numpy as np
 import pytest
 
 from diftgame import equilibrium
+from diftgame.env import Env, rollout_average
 from diftgame.equilibrium import (
     UnichainViolationError,
     best_response,
@@ -23,10 +23,9 @@ from diftgame.equilibrium import (
     exact_gradient,
     omega,
     residuals,
-    stationary_distribution,
     td_errors,
 )
-from _dense import dense_best_response
+from _dense import dense_best_response, stationary_distribution
 from diftgame.game import FnRates, Game, Marginal, RewardParams, build_game, classify_chain
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
 from diftgame.policies import Policy, PolicyPair, cut_policy, project_simplex, uniform_policy
@@ -284,15 +283,6 @@ class TestOneSolve:
         monkeypatch.setattr(Marginal, "restart_solve", nudged)
         with pytest.raises(UnichainViolationError, match="residual"):
             compare_defenses(synth, random_pair(synth, 0))
-
-    def test_library_never_calls_stationary_distribution(self):
-        pkg = pathlib.Path(equilibrium.__file__).parent
-        callers = [
-            path.name
-            for path in sorted(pkg.glob("*.py"))
-            if "stationary_distribution(" in path.read_text().replace("def stationary_distribution(", "")
-        ]
-        assert callers == []
 
 
 class TestResiduals:
@@ -672,6 +662,9 @@ class TestPairOrder:
         "td_errors at ev": lambda g, pi, ev: td_errors(
             g, pi, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a)
         ),
+        # the omega table comes from the pair in its right order
+        "delta": lambda g, pi, ev: delta(g, pi, omega(g, PolicyPair(pi.a, pi.d), ev)),
+        "rollout_average": lambda g, pi, ev: rollout_average(Env(g, 1), pi, 10),
     }
 
     @pytest.fixture(scope="class")

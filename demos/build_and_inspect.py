@@ -21,14 +21,16 @@ ifg = generate_synthetic(
 )
 game = build_game(ifg, RewardParams.defaults(2), FnRates(default=0.2))
 
-# One idle state plus (node, stage) pairs.  Most are unreachable: a flow
-# in stage 2 can only sit at nodes the stage-1 target can taint.
-print(f"{ifg.n_nodes} nodes, {ifg.stages} stages -> {game.n_states} states,")
-print(f"  of which {int(game.reachable.sum())} are reachable from the root")
+# One idle state plus the (node, stage) pairs a flow can reach.  The rest
+# are never built: a flow in stage 2 can only sit at nodes the stage-1
+# target can taint.
+pairs = ifg.n_nodes * ifg.stages
+print(f"{ifg.n_nodes} nodes, {ifg.stages} stages -> {game.n_states} states:")
+print(f"  the root and {game.n_states - 1} of the {pairs} (node, stage) pairs")
 
 # Action sets at a mid-attack state: the defender picks a state to
 # inspect (or idles), the attacker picks an outgoing edge (or quits).
-s = int(np.flatnonzero(game.reachable)[1])
+s = 1
 print(f"\nat state {game.state_label(s)}:")
 print("  defender:", [game.action_label(a) for a in game.actions_d[s]])
 print("  attacker:", [game.action_label(a) for a in game.actions_a[s]])
@@ -49,9 +51,7 @@ for s2, p, r_d, r_a in game.outcomes(s, di, ai):
 # periodic restart through the root leaves a single recurrent class that
 # contains the root: long-run averages do not depend on luck.
 pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
-R = np.flatnonzero(game.reachable)
-P = game.induced_chain(pair)[np.ix_(R, R)]
-rec, transient = classify_chain(P)
+rec, transient = classify_chain(game.induced_chain(pair))
 print(f"\nuniform play: {len(rec)} recurrent class "
       f"({len(rec[0])} states), {len(transient)} transient")
 

@@ -29,7 +29,9 @@ ifg = Ifg(
 )
 ifg.validate()
 game = build_game(ifg, RewardParams.defaults(3), FnRates(default=0.2))
-print(f"game: {game.n_states} states, {int(game.reachable.sum())} reachable")
+# only the (node, stage) pairs a flow can reach become states
+pairs = ifg.n_nodes * ifg.stages
+print(f"game: {game.n_states} states, the root and {game.n_states - 1} of {pairs} (node, stage) pairs")
 
 cfg = TrainConfig(iterations=250000, warmup=7000, seed=17, stride=500)
 pair, hist = train(game, cfg)
@@ -50,7 +52,7 @@ print(f"\nlearned pair: rho_D={ev.rho_d:.2f}, rho_A={ev.rho_a:.2f}")
 # Where did the defender learn to concentrate inspections?  Show the
 # states where inspecting got more than half the probability mass.
 print("defender inspects with p > 0.5 at:")
-for s in np.flatnonzero(game.reachable):
+for s in range(game.n_states):
     probs = pair.d.table[s]
     k = int(np.argmax(probs))
     act = game.actions_d[s][k]

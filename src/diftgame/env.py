@@ -106,11 +106,10 @@ def rollout_average(
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     steps = operator.index(steps)  # a numpy integer would make the averages numpy floats
-    game = env._game
-    pi.validate(game)
+    pi.validate(env._game)
     cum_d, cum_a = (
-        [np.cumsum(w[i:j]).tolist() for i, j in itertools.pairwise(pol.first.tolist())]
-        for pol in (pi.d, pi.a) for w in (game._weights(pol.player, pol.flat),)
+        [np.cumsum(pol.flat[i:j]).tolist() for i, j in itertools.pairwise(pol.first.tolist())]
+        for pol in (pi.d, pi.a)
     )
     rows = env._rows
     total_d = 0.0

@@ -3,10 +3,9 @@
 These routines never sample.  Each one fixes one player's mixture and
 reads the case table through :meth:`Game.marginalize`, which sums the
 opponent out and leaves per-(state, own action) rows of expected payoffs
-and sparse next-state distributions.  All sums run over the states
-reachable from the root in the game graph; states that exist only as
-indices (a node paired with a stage the intrusion can never be in) are
-ignored.
+and sparse next-state distributions.  Every state of a built game is
+reachable from the root, so every sum runs over all states and rows, with
+no mask.
 
 For a policy pair the induced chain has a single recurrent class containing
 the root, so the evaluation equations anchored at the root have a unique
@@ -16,8 +15,8 @@ transition matrix (:meth:`Game.induced_chain`), checks its classes with
 average payoff (gain) and the bias vector together.  Its residual, checked
 against 1e-9, guards the unichain structure.  The slack of those equations
 is one vector per player, an entry per (state, own action) row in the order
-of the player's ``Policy.flat``; phi, Delta and min_omega reduce it over the
-reachable rows.  Only :func:`omega`, :func:`exact_gradient` and
+of the player's ``Policy.flat``; phi, Delta and min_omega reduce it over
+all rows.  Only :func:`omega`, :func:`exact_gradient` and
 :func:`best_response` return per-state tables; :class:`Residuals` holds none.
 
 No other oracle needs a matrix.  The game graph without its edges into
@@ -44,8 +43,7 @@ oracles take these routes:
 
 Every oracle that takes a policy pair first calls
 :meth:`PolicyPair.validate`, and :func:`best_response` checks its opponent
-the same way.  Rows at unreachable states go unchecked and, read through
-:meth:`Game._weights`, have no effect.
+with :meth:`Policy.validate`: every row must be a finite probability vector.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ OmegaTable = dict[str, list[np.ndarray]]
 class EvalResult:
     rho_d: float
     rho_a: float
-    v_d: np.ndarray  # bias per state, zero at unreachable states and the root
+    v_d: np.ndarray  # bias per state, zero at the root
     v_a: np.ndarray
     residual_norm: float
     recurrent: set[int]
@@ -149,24 +147,10 @@ def _solve_gain_bias(
 def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     """Exact gains and biases of both players under a fixed policy pair."""
     pi.validate(game)
-    R = np.flatnonzero(game.reachable)
-    P = game.induced_chain(pi)[R[:, None], R]
-    rd, ra = game.expected_rewards(pi)
-    gain, v, C, resid = _solve_gain_bias(P, np.column_stack([rd[R], ra[R]]))
-
-    n = game.n_states
-    v_d = np.zeros(n)
-    v_a = np.zeros(n)
-    v_d[R] = v[:, 0]
-    v_a[R] = v[:, 1]
-    return EvalResult(
-        rho_d=float(gain[0]),
-        rho_a=float(gain[1]),
-        v_d=v_d,
-        v_a=v_a,
-        residual_norm=resid,
-        recurrent={int(R[i]) for i in C},
-    )
+    gain, v, C, resid = _solve_gain_bias(
+        game.induced_chain(pi), np.column_stack(game.expected_rewards(pi)))
+    v_d, v_a = v.T.copy()
+    return EvalResult(float(gain[0]), float(gain[1]), v_d, v_a, resid, C)
 
 
 def _slack(
@@ -176,9 +160,9 @@ def _slack(
     marginal in the order of its ``Policy.flat``: rho[k] + v[k](s) minus the
     expected (payoff + next v[k]) when k plays the row at its state s against
     the opponent's mixture.  The payoff is k's own, or with ``own`` false
-    both players' summed.  Rows at unreachable states get zero.
-    ``lookahead_d``, when given, is the defender's marginal and that
-    expectation q per row, as :func:`_restart_eval` computed them."""
+    both players' summed.  ``lookahead_d``, when given, is the defender's
+    marginal and that expectation q per row, as :func:`_restart_eval`
+    computed them."""
     out = {}
     for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
         if player == "D" and lookahead_d:
@@ -188,7 +172,6 @@ def _slack(
             m = game.marginalize(opp, player)
             pay = m.r[k] if own else m.r.sum(axis=0)
             vec = rho[k] + v[k][m.state] - pay - m.expect(v[k])
-        vec[~game.reachable[m.state]] = 0.0
         out[player] = vec
     return out
 
@@ -204,8 +187,7 @@ def _exact_slack(game: Game, pi: PolicyPair, own: bool = True) -> dict:
     rows."""
     m = game.marginalize(pi.a, "D")
     pays = m.r if own else (m.r[0] + m.r[1],)
-    w = game._weights("D", pi.d.flat)
-    evals = [_restart_eval(game, m, w, pay) for pay in pays]
+    evals = [_restart_eval(m, pi.d.flat, pay) for pay in pays]
     (rho_d, v_d, q), (rho_a, v_a, _) = evals if own else evals * 2
     return _slack(game, pi, (rho_d, rho_a), (v_d, v_a), own, (m, q))
 
@@ -230,12 +212,8 @@ def _rows(first: np.ndarray, vec: np.ndarray) -> list[np.ndarray]:
 
 
 def _phis(game: Game, pi: PolicyPair, slack: dict[str, np.ndarray]) -> list[float]:
-    """Policy-weighted slack sums (phi_D, phi_A) over the reachable rows only."""
-    out = []
-    for k, pol in (("D", pi.d), ("A", pi.a)):
-        live = game._live(k)
-        out.append(float(pol.flat[live] @ slack[k][live]))
-    return out
+    """Policy-weighted slack sums (phi_D, phi_A)."""
+    return [float(pol.flat @ slack[k]) for k, pol in (("D", pi.d), ("A", pi.a))]
 
 
 def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTable:
@@ -290,18 +268,16 @@ def exact_gradient(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> 
     return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
 
 
-def _restart_eval(
-    game: Game, m: Marginal, w: np.ndarray, pay: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _restart_eval(m: Marginal, w: np.ndarray, pay: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Gain, bias v and per-row lookahead q = pay + E v when
     ``m``'s rows are played with weights ``w`` and pay ``pay``, by
     back-substitution on the restart DAG (:meth:`Marginal.restart_solve`).
     Raises ``UnichainViolationError`` unless gain + v(s) = sum_b w_b q_b
-    holds within 1e-9 at every reachable state s."""
-    gain, v = m.restart_solve(w, pay, game.height)
+    holds within 1e-9 at every state s."""
+    gain, v = m.restart_solve(w, pay)
     q = pay + m.expect(v)
     slack = gain + v - np.bincount(m.state, w * q, minlength=len(v))
-    resid = float(np.abs(slack[game.reachable]).max())
+    resid = float(np.abs(slack).max())
     if not resid <= 1e-9:
         raise UnichainViolationError(f"evaluation residual {resid:.3g} exceeds 1e-9")
     return gain, v, q
@@ -310,33 +286,30 @@ def _restart_eval(
 def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, float]:
     """Optimal deterministic reply and its gain against a fixed opponent.
 
-    Policy iteration on the opponent-marginalized decision process restricted
-    to reachable states.  Each round evaluates the current deterministic
-    reply exactly by back-substitution on the restart DAG
-    (:meth:`Marginal.restart_solve`) and checks that gain + v = rbar + P v
-    holds within 1e-9 on every reachable state.  Then each state's candidate
-    is its first action whose one-step lookahead is within 1e-10 of the
-    best, and the state switches to it if that beats the incumbent by more
-    than 1e-10; ties keep the incumbent.
+    Policy iteration on the opponent-marginalized decision process.  Each
+    round evaluates the current deterministic reply exactly by
+    back-substitution on the restart DAG (:meth:`Marginal.restart_solve`)
+    and checks that gain + v = rbar + P v holds within 1e-9 on every state.
+    Then each state's candidate is its first action whose one-step lookahead
+    is within 1e-10 of the best, and the state switches to it if that beats
+    the incumbent by more than 1e-10; ties keep the incumbent.
     """
     if player not in ("D", "A"):
         raise ValueError(f"bad player {player!r}")
     if opponent.player != ("A" if player == "D" else "D"):
         raise ValueError("opponent policy is for the wrong player")
-    opponent._validate(game, live=game.reachable)  # as PolicyPair.validate does
+    opponent.validate(game)
     m = game.marginalize(opponent, player)
     r = m.r[0 if player == "D" else 1]
-    R = np.flatnonzero(game.reachable)
     heads = m.first[:-1]
-    choice = heads[R]  # chosen row per reachable state
+    choice = heads  # chosen row per state
 
-    max_rounds = 10 + int(np.diff(m.first)[R].sum())
-    for _ in range(max_rounds):
-        gain, _, q = _restart_eval(game, m, np.bincount(choice, minlength=len(r)), r)
+    for _ in range(10 + len(r)):
+        gain, _, q = _restart_eval(m, np.bincount(choice, minlength=len(r)), r)
         # the first row within 1e-10 of its state's max: rows tied in exact
         # arithmetic pick the same candidate whatever the rounding
         hits = np.flatnonzero(q >= np.maximum.reduceat(q, heads)[m.state] - 1e-10)
-        best = hits[np.searchsorted(m.state[hits], R)]
+        best = hits[np.searchsorted(m.state[hits], np.arange(len(heads)))]
         better = q[best] > q[choice] + 1e-10
         if not better.any():
             break
@@ -344,17 +317,15 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
     else:
         raise UnichainViolationError("policy iteration failed to settle")
 
-    picks = heads.copy()  # unreachable states keep their first action
-    picks[R] = choice
     flat = np.zeros(len(r))
-    flat[picks] = 1.0
+    flat[choice] = 1.0
     return Policy._from_flat(player, m.first, flat), gain
 
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
     slack = _pair_slack(game, pi, ev)
     phi_d, phi_a = _phis(game, pi, slack)
-    min_om = min(float(vec[game._live(k)].min()) for k, vec in slack.items())
+    min_om = min(float(vec.min()) for vec in slack.values())
     return Residuals(phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
 
 
@@ -430,7 +401,6 @@ def compare_defenses(game: Game, learned: PolicyPair) -> list[tuple[str, float, 
         ("uniform", uniform_policy(game, "D")),
         ("cut", cut_policy(game)),
     ):
-        w = game._weights("D", pol_d.flat)
-        rho_d, rho_a = (_restart_eval(game, m, w, pay)[0] for pay in m.r)
+        rho_d, rho_a = (_restart_eval(m, pol_d.flat, pay)[0] for pay in m.r)
         rows.append((name, rho_d, rho_a))
     return rows

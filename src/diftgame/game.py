@@ -1,15 +1,17 @@
 """Average-reward stochastic game between a taint-tracking defender and an intruder
 moving through an information-flow graph.
 
-States are a root state plus one state per (node, stage) pair.  At the root the intruder
-picks an entry node.  At an ordinary state the intruder moves the tainted flow along an
-out-edge or quits, while the defender either inspects one out-neighbor or stays idle;
-inspecting the neighbor the flow actually moves to catches it, up to a per-state
-false-negative rate.  Reaching a stage target advances the intrusion to the next stage;
-after the final stage the episode restarts at the root, so every policy pair induces a
-recurrent walk and long-run average rewards are well defined.  :func:`build_game` applies
-the transition and payoff rule to every intruder action at once, as numpy expressions
-over per-state and per-action arrays, into the case table (:class:`Cases`).
+States are the root, state 0, and the (node, stage) pairs that some play reaches from it,
+in (stage, node) order; :func:`build_game` drops every other pair, so no oracle meets a
+state that cannot matter.  At the root the intruder picks an entry node.  At an ordinary
+state the intruder moves the tainted flow along an out-edge or quits, while the defender
+either inspects one out-neighbor or stays idle; inspecting the neighbor the flow actually
+moves to catches it, up to a per-state false-negative rate.  Reaching a stage target
+advances the intrusion to the next stage; after the final stage the episode restarts at
+the root, so every policy pair induces a recurrent walk and long-run average rewards are
+well defined.  :func:`build_game` applies the transition and payoff rule to every intruder
+action at once, as numpy expressions over per-state and per-action arrays, into the case
+table (:class:`Cases`).
 """
 
 from __future__ import annotations
@@ -230,28 +232,25 @@ class Marginal(NamedTuple):
         cell = self.at * n + self.nxt
         return np.bincount(cell, self.prob * self.slots(w)[self.row], minlength=n * n).reshape(n, n)
 
-    def restart_solve(
-        self, w: np.ndarray, pay: np.ndarray, height: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    def restart_solve(self, w: np.ndarray, pay: np.ndarray) -> tuple[float, np.ndarray]:
         """Gain and root-anchored bias when each row is played with weight
         ``w`` and pays ``pay``, by back-substitution on the restart DAG.
 
         With P' the chain less its root column, a = rbar + P'a is the payoff
         and b = 1 + P'b the time until the next visit to the root.  Both
-        solve level by level, sinks first (``height``, see
-        :func:`_heights`); then gain = a(root) / b(root) and v = a - gain b,
-        so gain + v = rbar + P v with v(root) = 0.  Unreachable states get
-        v = 0.
+        solve level by level, sinks first (``levels``, see :func:`_heights`);
+        then gain = a(root) / b(root) and v = a - gain b, so
+        gain + v = rbar + P v with v(root) = 0.
         """
         lv = self.levels
         # a and b ride as the real and imaginary parts of one vector, so a
         # level takes one gather and one sum; real weights keep them apart
-        x = np.bincount(self.state, w * pay, minlength=len(height)) + 1j
+        x = np.bincount(self.state, w * pay, minlength=len(self.first) - 1) + 1j
         pe = self.prob[lv.order] * self.slots(w)[lv.row]
         for s, lo, hi, starts in lv.steps:
             x[s] += np.add.reduceat(pe[lo:hi] * x[lv.nxt[lo:hi]], starts)
         gain = float(x[ROOT].real / x[ROOT].imag)
-        v = np.where(height >= 0, x.real - gain * x.imag, 0.0)
+        v = x.real - gain * x.imag
         v[ROOT] = 0.0
         return gain, v
 
@@ -272,39 +271,50 @@ class Levels(NamedTuple):
     steps: list[tuple[np.ndarray, int, int, np.ndarray]]
 
 
+def _ends(start: np.ndarray, to: np.ndarray, front: np.ndarray) -> np.ndarray:
+    """``to[start[s]:start[s + 1]]`` of each state s in ``front``, joined."""
+    cnt = start[front + 1] - start[front]
+    return to[np.repeat(start[front] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+
+
+def _reachable(first: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the states a play can reach from the root, when state s's
+    intruder actions are rows ``first[s]`` to ``first[s + 1] - 1`` and move
+    to ``t`` or, where it is -1, restart: every outcome goes one of those
+    ways.  The frontier spreads a level per round."""
+    n = len(first) - 1
+    live, front = np.arange(n) == ROOT, np.array([ROOT])
+    while len(front):
+        nb = _ends(first, t, front)
+        nb = nb[nb > ROOT]
+        front = np.flatnonzero(np.bincount(nb[~live[nb]], minlength=n))
+        live[front] = True
+    return live
+
+
 def _heights(n: int, at: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Height in the restart DAG of each state reachable from the root, -1 elsewhere.
+    """Height of each state in the restart DAG.
 
     The restart DAG is the game graph without its edges into the root; the entries
     ``at[k] -> nxt[k]``, sorted by ``at``, list the game graph's edges, repeats allowed.  A
     state whose every outcome restarts has height 0, any other one more than its highest
-    next state.  Reachability spreads from the root, heights from the sinks, a level per
-    round; a state on or above a cycle gets none, and ``UnichainViolationError`` is raised.
+    next state.  Heights spread from the sinks, a level per round; a state on or above a
+    cycle gets none, and ``UnichainViolationError`` is raised.
     """
-    def ends(start, to, front):  # the entries start[s]:start[s + 1] of each s in front
-        cnt = start[front + 1] - start[front]
-        return to[np.repeat(start[front] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
-
-    reachable, front = np.arange(n) == ROOT, np.array([ROOT])
-    start = np.searchsorted(at, np.arange(n + 1))
-    while len(front):
-        nb = ends(start, nxt, front)
-        front = np.flatnonzero(np.bincount(nb[~reachable[nb]], minlength=n))
-        reachable[front] = True
-    keep = np.flatnonzero(reachable[at] & (nxt != ROOT))
+    keep = np.flatnonzero(nxt != ROOT)
     keep = keep[np.diff(at[keep] * n + nxt[keep], prepend=-1) != 0]  # drop repeats in a row
     src, dst = at[keep], nxt[keep]
     by_dst = np.sort(dst * n + src)  # np.argsort would page in another sort kernel
     start, pred = np.searchsorted(by_dst // n, np.arange(n + 1)), by_dst % n
     left, h, k = np.bincount(src, minlength=n), np.full(n, -1), 0  # left: next states unplaced
-    front = np.flatnonzero(reachable & (left == 0))
+    front = np.flatnonzero(left == 0)
     while len(front):
-        h[front], done = k, np.bincount(ends(start, pred, front), minlength=n)
+        h[front], done = k, np.bincount(_ends(start, pred, front), minlength=n)
         left, k = left - done, k + 1
         front = np.flatnonzero((done > 0) & (left == 0))
-    if (unset := reachable & (h < 0)).any():
+    if (h < 0).any():
         raise UnichainViolationError("the game graph less its edges into the root has a cycle, "
-                                     f"reached from state {int(np.argmax(unset))}")
+                                     f"reached from state {int(np.argmax(h < 0))}")
     return h
 
 
@@ -342,9 +352,9 @@ class Game:
     cost_d: np.ndarray  # inspection cost per state (0 where not chargeable)
     actions_d: list[tuple[DefAction, ...]]
     actions_a: list[tuple[AtkAction, ...]]
-    reachable: np.ndarray  # reachable from the root in the game graph
+    reachable: np.ndarray  # all True: build_game keeps only the states a play can reach
     cases: Cases = field(repr=False)
-    height: np.ndarray = field(repr=False)  # in the restart DAG; -1 if unreachable
+    height: np.ndarray = field(repr=False)  # in the restart DAG
     frames: dict = field(repr=False)
     target_d: np.ndarray = field(repr=False)  # inspected state per defender row, -1 idle
     row_blocks: dict = field(repr=False)  # per player, as :func:`_row_blocks` gives them
@@ -358,9 +368,13 @@ class Game:
         return self.ifg.stages
 
     def state_index(self, node: int, stage: int) -> int:
-        if not (0 <= node < self.ifg.n_nodes and 1 <= stage <= self.stages):
-            raise GameBuildError(f"no state for node {node}, stage {stage}")
-        return 1 + (stage - 1) * self.ifg.n_nodes + node
+        """The state of ``node`` at ``stage``; ``GameBuildError`` if the pair
+        is outside the graph or no play reaches it, so the game dropped it."""
+        if 0 <= node < self.ifg.n_nodes and 1 <= stage <= self.stages:
+            at = np.flatnonzero((self.node_of == node) & (self.stage_of == stage))
+            if len(at):
+                return int(at[0])
+        raise GameBuildError(f"no state for node {node}, stage {stage}")
 
     def state_label(self, s: int) -> str:
         if s == ROOT:
@@ -431,37 +445,24 @@ class Game:
             raise InvalidActionError(f"no joint action ({di}, {ai}) at state {s}")
         return self.case_outcomes[s][ai][0 if di == 0 else 2 if di == ai + 1 else 1]
 
-    def _live(self, player: str) -> np.ndarray:
-        """Mask of the player's rows at reachable states."""
-        return self.reachable[self.frames[player][0].state]
-
-    def _weights(self, player: str, w: np.ndarray) -> np.ndarray:
-        """The player's per-row weights ``w`` as every oracle reads them: a
-        NaN or inf weight at an unreachable state counts as 0, so it cannot
-        turn arithmetic invalid; every other weight is used as given."""
-        return np.where(self._live(player) | np.isfinite(w), w, 0.0)
-
     def marginalize(self, opponent, actor: str) -> Marginal:
         """The game as seen by ``actor`` while ``opponent`` plays its mixture.
         ``frames[actor]`` holds the actor's outcomes, ``prob`` and ``r`` per
-        outcome, weighted here by the opponent's slot ``u`` less slot ``v``
-        (:meth:`_weights`); rows at reachable states read only weights at
-        their own state."""
+        outcome, weighted here by the opponent's slot ``u`` less slot ``v``;
+        a row reads only the weights at its own state."""
         m, u, v = self.frames[actor]
-        opp = "A" if actor == "D" else "D"
-        x = self.frames[opp][0].slots(self._weights(opp, opponent.flat))
+        x = self.frames["A" if actor == "D" else "D"][0].slots(opponent.flat)
         prob = m.prob * (x[u] - x[v])
         return m._replace(r=np.array([m._sum(prob * pay) for pay in m.r]), prob=prob)
 
     def induced_chain(self, pi) -> np.ndarray:
         """Row-stochastic state transition matrix under a policy pair."""
-        return self.marginalize(pi.a, "D").chain(self._weights("D", pi.d.flat))
+        return self.marginalize(pi.a, "D").chain(pi.d.flat)
 
     def expected_rewards(self, pi) -> tuple[np.ndarray, np.ndarray]:
         """Per-state expected one-step payoffs under a policy pair."""
         m = self.marginalize(pi.a, "D")
-        w = self._weights("D", pi.d.flat)
-        rd, ra = (np.bincount(m.state, w * r, minlength=self.n_states) for r in m.r)
+        rd, ra = (np.bincount(m.state, pi.d.flat * r, minlength=self.n_states) for r in m.r)
         return rd, ra
 
 
@@ -503,7 +504,7 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
         )
     fn = fn or FnRates()
     n_nodes, M, n = ifg.n_nodes, ifg.stages, 1 + ifg.n_nodes * ifg.stages
-    # state 1 + (j - 1) * n_nodes + i is node i at stage j
+    # before the unreachable states go, state 1 + (j - 1) * n_nodes + i is node i at stage j
     node_of = np.concatenate(([-1], np.tile(np.arange(n_nodes), M)))
     stage_of = np.concatenate(([1], np.repeat(np.arange(1, M + 1), n_nodes)))
     dest = np.zeros((M, n_nodes), dtype=bool)
@@ -539,14 +540,24 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
     ordinary = ~is_dest & (np.arange(n) != ROOT)
     n_d = np.where(ordinary, 1 + np.diff(ptr)[node_of], 1)
     n_a = np.where(np.arange(n) == ROOT, len(ifg.entries), n_d)
-    first_d, first_a = np.append(0, n_d).cumsum(), np.append(0, n_a).cumsum()
-    nd, na = first_d[-1], first_a[-1]
-    state_d, state_a = np.repeat(np.arange(n), n_d), np.repeat(np.arange(n), n_a)
-    pos, i = np.arange(na) - first_a[state_a], node_of[state_a]
+    first_a = np.append(0, n_a).cumsum()
+    state_a = np.repeat(np.arange(n), n_a)
+    pos, i = np.arange(first_a[-1]) - first_a[state_a], node_of[state_a]
     t = np.where(is_dest[state_a], np.where(state_a + n_nodes < n, state_a + n_nodes, ROOT), -1)
     mv = ordinary[state_a] & (pos < n_a[state_a] - 1)
     t[mv] = (edges % n_nodes)[ptr[i[mv]] + pos[mv]] + (state_a - i)[mv]
     t[: n_a[ROOT]] = 1 + np.array(sorted(ifg.entries))
+    # The game keeps the states a play can reach, in order, so the root stays 0
+    live = _reachable(first_a, t)
+    t, new = t[live[state_a]], np.cumsum(live) - 1
+    t = np.where(t < 0, -1, new[t])
+    del pos, i, mv, ordinary
+    node_of, stage_of, is_dest, fn_arr, cost_d, n_d, n_a = (
+        x[live] for x in (node_of, stage_of, is_dest, fn_arr, cost_d, n_d, n_a))
+    n = len(n_d)
+    first_d, first_a = np.append(0, n_d).cumsum(), np.append(0, n_a).cumsum()
+    nd, na = first_d[-1], first_a[-1]
+    state_d, state_a = np.repeat(np.arange(n), n_d), np.repeat(np.arange(n), n_a)
     tgt_d = np.where((q := np.arange(nd) - first_d[state_d]) > 0, t[first_a[state_d] + q - 1], -1)
     acts = (np.fromiter(x, object, n + 1)[tgt].tolist() for x, tgt in (  # the last names -1
         ([*(DefAction("inspect", s) for s in range(n)), NO_INSPECT], tgt_d),
@@ -600,7 +611,7 @@ def build_game(ifg: Ifg, params: RewardParams, fn: FnRates | None = None) -> Gam
     f_d, f_a = (f._replace(levels=_levels(f, height)) for f in (f_d, f_a))
     return Game(ifg=ifg, params=params, fn=fn_arr, node_of=node_of, stage_of=stage_of,
                 is_dest=is_dest, cost_d=cost_d, actions_d=actions_d, actions_a=actions_a,
-                reachable=height >= 0, cases=c, height=height, target_d=tgt_d,
+                reachable=np.ones(n, dtype=bool), cases=c, height=height, target_d=tgt_d,
                 frames={"D": (f_d, u_d, v_d), "A": (f_a, row, off)},
                 row_blocks={"D": _row_blocks(first_d), "A": _row_blocks(first_a)})
 

@@ -3,7 +3,9 @@ the simplex projection and the policy file format.
 
 A policy is one probability vector ``flat`` over its player's (state, own
 action) rows, in the order of ``game.frames[player][0].first``: state s owns
-``flat[first[s]:first[s + 1]]``, aligned with its action tuple."""
+``flat[first[s]:first[s + 1]]``, aligned with its action tuple.  Every
+state of a built game is one a play can reach, so every row counts, and
+:meth:`Policy.validate` checks every one."""
 
 from __future__ import annotations
 
@@ -56,15 +58,11 @@ class Policy:
         so NaN or inf fails the comparisons.  A block row sums in the order
         of ``vec.sum()``, so a sum within rounding of ``atol`` gets the
         verdict of a row-by-row check (``np.add.reduceat`` would not).
+        A player other than ``"D"`` or ``"A"`` raises too.
         """
-        self._validate(game, floor, atol)
-
-    def _validate(self, game: Game, floor: float = 0.0, atol: float = 1e-9,
-                  live: np.ndarray | None = None) -> None:
-        """:meth:`validate`; with the state mask ``live``, the values of
-        rows at other states go unchecked (their lengths still are)."""
-        player = "D" if self.player == "D" else "A"
-        first = game.frames[player][0].first  # equal offsets, equal row lengths
+        if self.player not in ("D", "A"):
+            raise ValueError(f"policy for no player: {self.player!r} is neither 'D' nor 'A'")
+        first = game.frames[self.player][0].first  # equal offsets, equal row lengths
         if self.first is not first and not np.array_equal(self.first, first):
             if len(self.first) != len(first):
                 raise ValueError("policy table length != state count")
@@ -73,12 +71,10 @@ class Policy:
             raise ValueError(f"state {s}: {len(self.table[s])} probs for {sizes[s]} actions")
         sums = np.empty(len(first) - 1)
         with np.errstate(invalid="ignore", over="ignore"):
-            for rows, at in game.row_blocks[player]:
+            for rows, at in game.row_blocks[self.player]:
                 sums[rows] = self.flat[at].sum(axis=1)
             mins = np.minimum.reduceat(self.flat, self.first[:-1])  # exact in any order
             ok = (np.abs(sums - 1.0) <= atol) & (mins >= floor - atol)
-        if live is not None:
-            ok |= ~live
         if not ok.all():
             s = int(np.argmin(ok))
             raise ValueError(f"state {s}: probabilities invalid: {self.table[s]}")
@@ -97,14 +93,12 @@ class PolicyPair:
 
     def validate(self, game: Game) -> None:
         """Raise ``ValueError`` unless the pair holds the defender's policy,
-        then the intruder's, each with one row of the right length per
-        state, and every row at a reachable state is a finite probability
-        vector.  Rows at unreachable states have no effect on any oracle
-        (:meth:`Game._weights`), so their values go unchecked."""
+        then the intruder's, each with one finite probability vector per
+        state over its actions (:meth:`Policy.validate`)."""
         if self.d.player != "D" or self.a.player != "A":
             raise ValueError("policy pair must hold the defender's then the intruder's policy")
         for pol in (self.d, self.a):
-            pol._validate(game, live=game.reachable)
+            pol.validate(game)
 
 
 def uniform_policy(game: Game, player: str) -> Policy:

@@ -757,9 +757,11 @@ def test_train_outputs_golden(tmp_path):
     # Digests of `diftgame train` on the criterion-5 fixture at 2e4 steps.
     # The policies were recorded before the kernel was stored as flat arrays:
     # the rule, the outcome order and the random streams must not change the
-    # trained bytes.  history.csv was re-recorded when marginalize moved to
-    # the case table, and again when phi became one dot product per player
-    # over the reachable rows.  Its phi columns are td_errors at the
+    # trained bytes.  They were re-recorded when build_game dropped the states
+    # no play reaches; matched by state label, every kept row is unchanged.
+    # history.csv was re-recorded when marginalize moved to the case table,
+    # and again when phi became one dot product per player over the
+    # reachable rows.  Its phi columns are td_errors at the
     # learner's own rho and v, so their last digits depend on the marginal's
     # summation order and on that dot product (numpy 2.4, x86-64).
     kinds = ["process", "file", "socket", "other"]
@@ -784,7 +786,7 @@ def test_train_outputs_golden(tmp_path):
         for name in ("policy_d.json", "policy_a.json", "history.csv")
     }
     assert digests == {
-        "policy_d.json": "a119b268fbbd5914e91296588e7e50ea4f26c9a61fab045ffa387bbb46586d7f",
-        "policy_a.json": "2a0149dedfd5032858147ac9c14b171e8ccfd57536f19f00e93dc452961badb2",
+        "policy_d.json": "8709cbf4b00f2ea59119a6c79ca041795e0578cb53e46aba2e4fa8f07b859fb3",
+        "policy_a.json": "d6018abe2471c48132b02c43fa62766bd428ed6653a4859f461e04376d703bb4",
         "history.csv": "55a72a3d16d7d8c72bb71fe87e017a42966031ad06610446891e67c0fc6b262a",
     }

@@ -182,7 +182,7 @@ class TestOutcomeTable:
             g = build_game(generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1),
                            RewardParams.defaults(3), FnRates(0.2))
         env, draws = Env(g, seed=4), uniforms([4, 0])
-        for s in np.flatnonzero(g.reachable).tolist():
+        for s in range(g.n_states):
             for di, d in enumerate(g.actions_d[s]):
                 for ai, a in enumerate(g.actions_a[s]):
                     env.current = s
@@ -257,8 +257,10 @@ class TestRolloutAverage:
         assert tail == tail2
 
     def test_golden_floats(self):
-        # Recorded before the kernel was stored as flat arrays.  The second
-        # call continues the transition stream across block boundaries.
+        # Recorded before the kernel was stored as flat arrays, and again when
+        # build_game dropped the states no play reaches, which changed the
+        # Dirichlet rows drawn here.  The second call continues the
+        # transition stream across block boundaries.
         game = build_game(
             generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
         )
@@ -269,9 +271,9 @@ class TestRolloutAverage:
         ]
         pair = PolicyPair(Policy("D", tables[0]), Policy("A", tables[1]))
         env = Env(game, seed=3)
-        assert rollout_average(env, pair, 20000, 3) == (7.9673, -6.5755)
-        assert rollout_average(env, pair, 7777, 4) == (7.957310016715957, -6.511508293686512)
-        assert (env.current, env.step_count) == (2, 27777)
+        assert rollout_average(env, pair, 20000, 3) == (7.6576, -6.587)
+        assert rollout_average(env, pair, 7777, 4) == (7.653593930821653, -6.717243152886717)
+        assert (env.current, env.step_count) == (1, 27777)
 
     def test_numpy_integer_steps(self, game):
         pair = PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))

@@ -79,13 +79,12 @@ def dirichlet_pair(game, seed):
 def stationary_gains(game, pair):
     """Independent gain oracle: stationary averages of the one-step payoffs
     on the induced chain's recurrent class."""
-    R = np.flatnonzero(game.reachable)
-    P = game.induced_chain(pair)[np.ix_(R, R)]
+    P = game.induced_chain(pair)
     (rec,), _ = classify_chain(P)
     C = sorted(rec)
     mu = stationary_distribution(P[np.ix_(C, C)])
     rd, ra = game.expected_rewards(pair)
-    return float(mu @ rd[R[C]]), float(mu @ ra[R[C]])
+    return float(mu @ rd[C]), float(mu @ ra[C])
 
 
 def hand_pairs(game):
@@ -260,7 +259,7 @@ class TestOneSolve:
 
     def test_nudged_restart_bias_raises_in_best_response(self, synth, monkeypatch):
         restart = Marginal.restart_solve
-        s = int(np.flatnonzero(synth.reachable)[2])
+        s = 2
 
         def nudged(*args):
             gain, v = restart(*args)
@@ -273,7 +272,7 @@ class TestOneSolve:
 
     def test_nudged_restart_bias_raises_in_compare_defenses(self, synth, monkeypatch):
         restart = Marginal.restart_solve
-        s = int(np.flatnonzero(synth.reachable)[2])
+        s = 2
 
         def nudged(*args):
             gain, v = restart(*args)
@@ -291,7 +290,7 @@ class TestResiduals:
         ev = evaluate_policy_pair(synth, pair)
         om = omega(synth, pair, ev)
         # state-wise policy-weighted slack vanishes
-        for s in np.flatnonzero(synth.reachable):
+        for s in range(synth.n_states):
             assert abs(float(pair.d.table[s] @ om["D"][s])) < 1e-10
             assert abs(float(pair.a.table[s] @ om["A"][s])) < 1e-10
         assert abs(delta(synth, pair, om)) < 1e-9
@@ -299,33 +298,27 @@ class TestResiduals:
         assert abs(phi_d) < 1e-9 and abs(phi_a) < 1e-9 and abs(phi_t) < 1e-9
 
     def test_unreachable_states_excluded(self, synth):
+        # the game holds only the states a play reaches, so omega has no
+        # table for any other (node, stage) pair
         pair = random_pair(synth, 4)
         om = omega(synth, pair)
-        for s in range(synth.n_states):
-            if not synth.reachable[s]:
-                assert not om["D"][s].any() and not om["A"][s].any()
+        assert len(om["D"]) == len(om["A"]) == synth.n_states < 1 + synth.ifg.n_nodes * synth.stages
 
     def test_perturbed_bias_breaks_delta(self, synth):
         pair = random_pair(synth, 5)
         ev = evaluate_policy_pair(synth, pair)
-        s = int(np.flatnonzero(synth.reachable)[2])
+        s = 2
         ev.v_d[s] += 1.0
         om = omega(synth, pair, ev)
         assert abs(delta(synth, pair, om)) > 1e-3
 
     def test_anchor_shift_leaves_residuals_alone(self, synth):
-        # adding a constant to the bias on the reachable set is the
-        # rank-deficiency direction: residuals must not move
+        # adding a constant to the bias is the rank-deficiency direction:
+        # residuals must not move
         pair = random_pair(synth, 6)
         ev = evaluate_policy_pair(synth, pair)
         base = td_errors(synth, pair, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a))
-        mask = synth.reachable.astype(float)
-        shifted = td_errors(
-            synth,
-            pair,
-            rho=(ev.rho_d, ev.rho_a),
-            v=(ev.v_d + 3.7 * mask, ev.v_a - 1.2 * mask),
-        )
+        shifted = td_errors(synth, pair, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d + 3.7, ev.v_a - 1.2))
         assert base == pytest.approx(shifted, abs=1e-9)
 
     def test_half_given_iterates_rejected(self, synth):
@@ -355,7 +348,7 @@ class TestResiduals:
         want_min = min(
             float(om[k][s].min())
             for k in ("D", "A")
-            for s in np.flatnonzero(synth.reachable)
+            for s in range(synth.n_states)
         )
         assert res.min_omega == pytest.approx(want_min, abs=1e-12)
         assert abs(res.delta) < 1e-9
@@ -372,11 +365,10 @@ def slack_game(request):
 
 
 def nudged_eval(game, pair):
-    """The exact evaluation with one reachable bias nudged and the gains
-    shifted: iterates that do not satisfy the evaluation equations."""
+    """The exact evaluation with one bias nudged and the gains shifted:
+    iterates that do not satisfy the evaluation equations."""
     ev = evaluate_policy_pair(game, pair)
-    reach = np.flatnonzero(game.reachable)
-    s = int(reach[len(reach) // 2])
+    s = game.n_states // 2
     ev.v_d[s] += 0.5
     ev.v_a[s] -= 0.25
     ev.rho_d += 0.37
@@ -385,16 +377,15 @@ def nudged_eval(game, pair):
 
 
 class TestFlatSlack:
-    """The aggregates reduce one slack vector per player over the reachable
-    rows; these pin them to the per-state sums over :func:`omega`."""
+    """The aggregates reduce one slack vector per player over all rows;
+    these pin them to the per-state sums over :func:`omega`."""
 
     def test_aggregates_match_per_state_sums(self, slack_game):
         pair = dirichlet_pair(slack_game, 1)
         ev = nudged_eval(slack_game, pair)
         om = omega(slack_game, pair, ev)
-        reach = np.flatnonzero(slack_game.reachable)
         want = [
-            sum(float(pol.table[s] @ om[k][s]) for s in reach)
+            sum(float(pol.table[s] @ om[k][s]) for s in range(slack_game.n_states))
             for k, pol in (("D", pair.d), ("A", pair.a))
         ]
         got = td_errors(slack_game, pair, rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a))
@@ -408,23 +399,9 @@ class TestFlatSlack:
         for ev in (evaluate_policy_pair(slack_game, pair), nudged_eval(slack_game, pair)):
             om = omega(slack_game, pair, ev)
             want = min(
-                float(om[k][s].min()) for k in ("D", "A") for s in np.flatnonzero(slack_game.reachable)
+                float(om[k][s].min()) for k in ("D", "A") for s in range(slack_game.n_states)
             )
             assert residuals(slack_game, pair, ev).min_omega == want
-
-    def test_unreachable_rows_are_ignored(self, slack_game):
-        # a dot product over all rows would turn phi into NaN here
-        clean = dirichlet_pair(slack_game, 3)
-        dirty = clean.copy()
-        s = int(np.flatnonzero(~slack_game.reachable)[0])
-        dirty.d.table[s][:] = np.nan
-        dirty.a.table[s][:] = np.inf
-        ev = nudged_eval(slack_game, clean)
-        iterates = dict(rho=(ev.rho_d, ev.rho_a), v=(ev.v_d, ev.v_a))
-        dirty_td = [td_errors(slack_game, dirty, **iterates), td_errors(slack_game, dirty)]
-        dirty_res = [residuals(slack_game, dirty, ev), residuals(slack_game, dirty)]
-        assert dirty_td == [td_errors(slack_game, clean, **iterates), td_errors(slack_game, clean)]
-        assert dirty_res == [residuals(slack_game, clean, ev), residuals(slack_game, clean)]
 
 
 def bilinear_residual_form(game, ev):
@@ -437,7 +414,7 @@ def bilinear_residual_form(game, ev):
     treated as free coordinates.
     """
     W = {}
-    for s in np.flatnonzero(game.reachable):
+    for s in range(game.n_states):
         nd = len(game.actions_d[s])
         na = len(game.actions_a[s])
         m = np.zeros((2, nd, na))
@@ -468,7 +445,7 @@ class TestExactGradient:
 
         h = 1e-5
         rng = np.random.default_rng(0)
-        reach = np.flatnonzero(synth.reachable)
+        reach = np.arange(synth.n_states)
         for player in ("D", "A"):
             pol = pair.d if player == "D" else pair.a
             for _ in range(8):
@@ -541,7 +518,7 @@ class TestBestResponse:
         atk = random_pair(game, 0).a
         _, gain = best_response(game, atk, "D")
         best = -np.inf
-        reach = [int(s) for s in np.flatnonzero(game.reachable)]
+        reach = range(game.n_states)
         options = [range(len(game.actions_d[s])) for s in reach]
         for picks in itertools.product(*options):
             det = pure(game, "D", dict(zip(reach, picks)))
@@ -577,7 +554,7 @@ class TestBestResponse:
         game = fixture_game()
         for player, opp in (("D", "A"), ("A", "D")):
             rows = list(uniform_policy(game, opp).table)
-            s = next(s for s, row in enumerate(rows) if len(row) > 1 and game.reachable[s])
+            s = next(s for s, row in enumerate(rows) if len(row) > 1)
             rows[s] = spoil(rows[s])
             pol = Policy(opp, rows)
             with pytest.raises(ValueError, match=f"state {s}:"):
@@ -705,7 +682,7 @@ class TestCompareDefenses:
     def test_malformed_learned_row_raises(self, synth, player, bad):
         pair = random_pair(synth, 12)
         pol = getattr(pair, player)
-        s = next(int(s) for s in np.flatnonzero(synth.reachable) if len(pol.table[s]) > 1)
+        s = next(s for s, row in enumerate(pol.table) if len(row) > 1)
         pol.table[s][0] = np.nan if bad == "nan" else pol.table[s][0] + 0.1
         with pytest.raises(ValueError, match=f"state {s}"):
             compare_defenses(synth, pair)

@@ -58,16 +58,17 @@ class TestStateSpace:
     def test_paper_sized_count(self):
         ifg = generate_synthetic(18, 3, 2, (1, 1, 1), 0.12, seed=7)
         game = build_game(ifg, RewardParams.defaults(3))
-        assert game.n_states == 18 * 3 + 1 == 55
+        # the root and the 32 of the 18 * 3 (node, stage) pairs a play reaches
+        assert game.n_states == 33
 
     def test_dense_indexing(self, chain_game):
+        # the reachable pairs in (stage, node) order: 0, 1, 2 at stage 1, 2, 3 at 2
         g = chain_game
-        assert g.state_index(0, 1) == 1
-        assert g.state_index(3, 1) == 4
-        assert g.state_index(0, 2) == 5
-        assert g.state_index(2, 2) == 7
+        pairs = ((0, 1), (1, 1), (2, 1), (2, 2), (3, 2))
+        assert [g.state_index(i, j) for i, j in pairs] == [1, 2, 3, 4, 5]
+        assert g.n_states == 6
         assert g.state_label(0) == "s0"
-        assert g.state_label(7) == "n2@2"
+        assert g.state_label(4) == "n2@2"
 
     def test_out_of_range_state_rejected(self, chain_game):
         with pytest.raises(GameBuildError):
@@ -382,14 +383,16 @@ class TestParams:
                 ifg, RewardParams.defaults(1), FnRates(overrides={(9, 1): 0.5})
             )
 
-    def test_cost_free_states(self, chain_game):
-        g = chain_game
+    def test_cost_free_states(self):
+        # entry 0 -> 1 -> 2 (stage-1 target) -> 3 -> 4 (stage-2 target)
+        g = build_game(make_ifg(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0], [[2], [4]]),
+                       RewardParams.defaults(2))
         assert g.cost_d[ROOT] == 0.0
         assert g.cost_d[g.state_index(0, 1)] == 0.0  # entry
         assert g.cost_d[g.state_index(2, 1)] == 0.0  # stage-1 target
         assert g.cost_d[g.state_index(2, 2)] == 0.0  # target node at stage 2
         assert g.cost_d[g.state_index(1, 1)] == -1.0
-        assert g.cost_d[g.state_index(1, 2)] == -2.0
+        assert g.cost_d[g.state_index(3, 2)] == -2.0
 
 
 class TestInducedChain:
@@ -466,8 +469,6 @@ class TestClassifyChain:
         rng = np.random.default_rng(2)
         ifg = generate_synthetic(10, 3, 2, (1, 1, 1), 0.25, seed=1)
         game = build_game(ifg, RewardParams.defaults(3))
-        R = np.flatnonzero(game.reachable)
-        idx = {int(s): k for k, s in enumerate(R)}
         for _ in range(20):
             tabs = []
             for pol, acts in (("D", game.actions_d), ("A", game.actions_a)):
@@ -480,21 +481,22 @@ class TestClassifyChain:
             from diftgame.policies import Policy
 
             pair = PolicyPair(Policy("D", tabs[0]), Policy("A", tabs[1]))
-            P = game.induced_chain(pair)[np.ix_(R, R)]
-            rec, _ = classify_chain(P)
+            rec, _ = classify_chain(game.induced_chain(pair))
             assert len(rec) == 1
-            assert idx[ROOT] in rec[0]
+            assert ROOT in rec[0]
 
 
 class TestReachability:
     def test_root_always_reachable(self, chain_game):
         assert chain_game.reachable[ROOT]
 
-    def test_stage_mismatched_states_unreachable(self, chain_game):
+    def test_dropped_pairs_raise(self, chain_game):
+        # no play reaches node 0 at stage 2 or node 3 at stage 1
         g = chain_game
-        assert not g.reachable[g.state_index(0, 2)]
-        assert not g.reachable[g.state_index(3, 1)]
-        assert g.reachable[g.state_index(2, 2)]
+        for node, stage in ((0, 2), (3, 1)):
+            with pytest.raises(GameBuildError, match=f"node {node}, stage {stage}"):
+                g.state_index(node, stage)
+        assert g.state_label(g.state_index(2, 2)) == "n2@2"
 
     def test_reachable_closed_under_kernel(self, fork_game):
         g = fork_game
@@ -511,12 +513,11 @@ class TestRestartHeights:
         g = fork_game
         want = {g.state_index(i, 1): h for i, h in enumerate((3, 2, 1, 1, 0))}
         want[ROOT] = 4
-        assert {int(s): int(g.height[s]) for s in np.flatnonzero(g.reachable)} == want
-        assert (g.height[~g.reachable] == -1).all()
+        assert dict(enumerate(g.height.tolist())) == want
 
     def test_every_outcome_but_a_restart_descends(self, fork_game, chain_game):
         for g in (fork_game, chain_game):
-            for s in np.flatnonzero(g.reachable):
+            for s in range(g.n_states):
                 for di in range(len(g.actions_d[s])):
                     for ai in range(len(g.actions_a[s])):
                         for s2, _, _, _ in g.outcomes(s, di, ai):
@@ -535,31 +536,32 @@ class TestKernelGolden:
     # action, and of each Cases field (dtype, shape and bytes), recorded
     # before marginalize read the case table.  "learn" is the criterion-5
     # fixture; the sizes are generate_synthetic(n, 3, 2, (1, 1, 1), 0.1, 1)
-    # games.
+    # games.  Re-recorded when build_game dropped the states no play reaches:
+    # matched by state label, the kept states' outcomes are unchanged.
     DIGESTS = {
         "learn": {
-            "first": "443e6f4ff0d8cb10bcfeaeffc9e007e75d63620a041f559279604c8fe18dcabd",
-            "out": "add5ae108bd6645dbaa68ab22e0b2a57a3b433f218b315c358a9e3a4a7b8a6c9",
-            "nxt": "065575b2ec852093b42fe9bfbf7ea2099d276ffb6a8d88cacf688d8725eee2fb",
-            "p": "bf22e75656df2a3775fcbd0aa7df32671d1c9b12a209f571be3ddc6a4812e852",
-            "r": "f6cd07b1df6bcb34cdb3dbd3082c52886152799faa93e1348926d41402447ef4",
-            "outcome_table": "a4e5c3b89aa4a5b001471f0f5fb0aa3c5cbf740bae71fcd41684c231a0c6eb74",
+            "first": "c3491054e4de2e827d3bbf39a546d0821ded968c0fc0bc748b445effcf7e4a81",
+            "out": "112cf4697e04f3d5b525e492175ed3eba10f898664e915dd96bf6ada60caebb2",
+            "nxt": "68a20984e73483a0587a06338c4cc9bb039fdd46d0e89ef074c374ff05f1c957",
+            "p": "c9c1c421a6c85709c6d3d35944d3323dbf7b60849661331800e998be0cd254e9",
+            "r": "af6f7ce1699cc57765d0561a19258e62f7966d5093fe8fd670e5b1dfd0746a5d",
+            "outcome_table": "b9b2f5d7c9e1d4d6e2de97544e695aa791d4f2c7b44bd5d4d0b017390618aa57",
         },
         160: {
-            "first": "5d6cc4fa8df1a116aa6f7002c9b3e797b4e7a3ca94b57dde05df9b07352b4165",
-            "out": "1e4b9664037dca995b13a593bb48552248664e6a5aa7d56acb7120bc80fdb7be",
-            "nxt": "c20e8184e7a9d40afc38e87015803bee6bd1669c2bb8e172ec80466fcc780693",
-            "p": "9dedcfb973f41d4c97943d2945d8a4469db726e8b5a145eb5bb5da6793ef1531",
-            "r": "7d115845405ba0fee664f62fb205359f7b1be9fc77d8ee96e090bc52f6a91739",
-            "outcome_table": "04e4f2923b81b3951a1a5151663d7698279cf76ddc8a50601c009b47e2c08e20",
+            "first": "2dc620fce98e93bda8be4565f3eb882eb2710f98fc50de745eb5430e8015ab3f",
+            "out": "2c3bfd12c0edde3b0d81c86f76952ef0ccacf6bc65310a36823001d21187dbb1",
+            "nxt": "86eca1e8230973aaa3b8d71f3d8bbaed9a0572b4dedb7ef99520f396a23b102f",
+            "p": "7aa13f24a6af7c5fd5537903dab7a199cd3ee47fa0b31db251f6aea34d83daed",
+            "r": "bb7874b5e89f40ca717be0f565847a22cfd3a8cb085733cc480a7aa3826ccb96",
+            "outcome_table": "8c126d4a90216d9a3446f640a340c2bda00e38d00c7195082cd8901425d16194",
         },
         320: {
-            "first": "28c6fe13747a93a339478a76093acaa07018cf7605ffe0c7e371cad68bddfd04",
-            "out": "c71426201bcf04f23629ab837498c9ddee01ba927a9a138d6a7cda7d9f1821b6",
-            "nxt": "97b8f12d51a9c7d1e21bebe80407507053b9b2971c03c12819fa4379bc4af50f",
-            "p": "5c706999041bc9aef79f4bb3b3f07f29bc226a3505d686c2c37713d8436f2262",
-            "r": "b50a3d375391c5595d3e08c7a74e04280e611cd7905ddaf955fc4f6de3343871",
-            "outcome_table": "8c98a89f68128fbc023ea10f1d822ed04c49b0771f44ecf688f018dce66c04d7",
+            "first": "302e9f559302500a78259dfa1895651d5d0345a753a7eac62892142c1e1bdfd8",
+            "out": "0501e93e8db4ac426a44a43c3b88724958e94a6c7130583ba5d0bab9b799649c",
+            "nxt": "20e2bd3a8d59428967e60742f7df9216ed82af71a13df21c6a4dbecd075cc8a6",
+            "p": "2da29dc63bd58d846f146b4592f1523b839d4b570ce304aa621fc1581b2c7e5c",
+            "r": "d0785689e0869033e7094c1829743b40df7fdae7db6c43b81181985b5c68720e",
+            "outcome_table": "93a94ee3c29e292a43622f32a1ff51f680f1daa1df3bc795ecec4037b813e58e",
         },
     }
 
@@ -592,69 +594,70 @@ class TestKernelGolden:
 
     # sha256 of every frame array (dtype, shape and bytes; a Levels' steps
     # fold into one digest) and of Game.height, recorded while build_game
-    # still applied the rule once per (state, intruder action, case) in Python
+    # still applied the rule once per (state, intruder action, case) in Python,
+    # and re-recorded when it dropped the states no play reaches
     FRAME_DIGESTS = {
         "learn": {
-            "height": "f47ba5576b75648974421783acdeefa2f70aaad37be5ceaa311f185bf6d84402",
-            "D.first": "954a6afdd7b5897f2d27c078cd6a67c36bd4a8088ad0e33344d0fc24b5726560",
-            "D.state": "924bc4739d1cdf4616b266408c52c64f6e63de9dc7aec7e24c3516fb42d262b5",
-            "D.share": "87da8607230e5f76c9ab491cd77fb5bb74d8f0cb344a55bb22a774b6ed751153",
-            "D.r": "6bc1e4d9ee42b25efb4ca33506c5baad44e2ee5ce7761cd56f21de0f4bbe40c6",
-            "D.row": "de22b58e14db7f0b26574344b4ceb2675ca31b89efe9a4e70df920790c42b276",
-            "D.at": "1b1c4cd7e1fa60fc0117e4ee708bc068b6d3f56a5a422383d5a8d9ce8667c3a4",
-            "D.nxt": "a9362c567764c383ef3199282d2e46981228c60b6959fa24531f42304b241c15",
-            "D.prob": "63a1f93234efb975eb393665fe8ab1950a237bb65787f09a07e0caba7096b34e",
-            "D.levels.order": "3cdb5c0430adc4f29de49e191c3c533ef21128bdc6aad58bd2cee1ef321a5796",
-            "D.levels.row": "e251d8041fa08f2e0aaf7ece41edf28d329f6c6f9efb8f226caf66a8e7ed99a7",
-            "D.levels.nxt": "e39f2b0b7ecebfd4fb404ca502127d5bb5af7c02e1553fa3763107ab8a6048d3",
-            "D.levels.steps": "f4a7c41ae9ff1b603273a646c1ec5b679075d93ef53771c79b8ca89ed982a953",
-            "D.u": "dda7bc48144995d5b6e73296f3945f82981d343a1fa9ce20cd80800c1d1e7851",
-            "D.v": "6ef8a4f7452767069e8b4b853e76f5997a8d2c2eab4caded4a7c168261a004a5",
-            "A.first": "73cfd28113b28855ac12dba5fadc9922fa0e17161afc156615738056413c654d",
-            "A.state": "b9b2dd8ee109875e1617fd0673145f025cad64288f150a82dea7727b11ff92d2",
-            "A.share": "a234d0abb7474f5fd33e0fe485d585846826adf4e688ed2eb25dc8bc8f8d7f10",
-            "A.r": "f6cd07b1df6bcb34cdb3dbd3082c52886152799faa93e1348926d41402447ef4",
-            "A.row": "bf59665875b03d1b103da23994eb6f1b2a79d64fc387331d1df95e7851fc2ecc",
-            "A.at": "2068e686d188fff756f5750fe44e9af32ec2974590984042047231e39c9db151",
-            "A.nxt": "065575b2ec852093b42fe9bfbf7ea2099d276ffb6a8d88cacf688d8725eee2fb",
-            "A.prob": "bf22e75656df2a3775fcbd0aa7df32671d1c9b12a209f571be3ddc6a4812e852",
-            "A.levels.order": "cec2d2fc5ad453c413deaa3eac55b2c76d21156222d957397f6104b6b80e9915",
-            "A.levels.row": "309170a8868ec1bdb3a04f52f1044c0545d3f3ab8aa7a603237a92023a9863ab",
-            "A.levels.nxt": "1872e363e2a42b06b00e1c3954cbf595bbe78b0581fa0771b53f01158058bf2c",
-            "A.levels.steps": "eaa4c675620b848e27d974ce6cf27e7acbd26ea903ab5ab3560b58894f59669b",
-            "A.u": "c0619890f85db9172758e784d7ee2e910ac8f1d2610c1169879763e634705f86",
-            "A.v": "86e833cef5d7816104dd10aeac1b20801820d080e8b04276be16165b6525476d",
+            "height": "203bc8766d325a0eb9813e259ac5165e1bcb720fd93b12fad37597debcf9f94f",
+            "D.first": "2d28dbe695aedf12e28e56f19769def061de892506f3dcd0d60ad97ccced161a",
+            "D.state": "872ff12f0df876221044b345deefad6bd09fc62e18154e64a642d1e8467b3019",
+            "D.share": "b45cc603713264e77dfcc631796c77348e83564105f394daba0f59dce0a0bfe1",
+            "D.r": "e4132c975b899e02a005e64823f40629b4c0b7c2c9ac9083789a13c4e9dc2644",
+            "D.row": "dab6512dfc60771cb9c744c0e9b4585e5fb330323a9ed4faa3bcf79444790555",
+            "D.at": "2ceb7d5820613837fe90e5a713ff355aa9208656a3ef92f75f83c6763dbf3b63",
+            "D.nxt": "afba4b0bd73ef2d97e3c3879b067afee475b62a00a53ee311f17a2a4317fe1d4",
+            "D.prob": "51c21e98a706d6913b062673fdb854b84fdee59462c348b7c471739faf8ed769",
+            "D.levels.order": "51a0e6cf9ef0719b8cc4bee0f8dbe039c656da953de173a50ce5ef6e3c30d50e",
+            "D.levels.row": "96374fb1ccdbe134f74997a11de743fdd5962fe8b86366758e33c1cb9c0cb484",
+            "D.levels.nxt": "0728b8f2938100c59e1a8a9370a9e19648cc73f1227bf51ecb7ccca292ee1cee",
+            "D.levels.steps": "b692af5f2afa0e9b71218aff7326f86dedfae82922a6cb3f35d22e95e37c063f",
+            "D.u": "94ef5ba48d6792af4236ea1e385cca17e2cc56e0cab3020e2894fb3a4c5cb50f",
+            "D.v": "0f7671c2a8effc0745fb42940df230dcd9e2d8bf19364938ea3465efda65365a",
+            "A.first": "66a23877d03545f80ea9ff2f7e36444e27873cd6260ac78717b67b51bea242d5",
+            "A.state": "be15f018fff7cc4a6d98aa19f84f323a1c93a4538166145fb710e8fcc5fbfac7",
+            "A.share": "8918babc99d1134806342ed2906b859dcf22b3fc9aa1cae611b9d298d388e576",
+            "A.r": "af6f7ce1699cc57765d0561a19258e62f7966d5093fe8fd670e5b1dfd0746a5d",
+            "A.row": "1865efdc27730c84e12fca72ada3d49006e9a8d02d684da416ccd11b9a7db9c1",
+            "A.at": "59da9cc322eadc8e59844a954e3060e26d3a83e385b066a288a7100b16f981ef",
+            "A.nxt": "68a20984e73483a0587a06338c4cc9bb039fdd46d0e89ef074c374ff05f1c957",
+            "A.prob": "c9c1c421a6c85709c6d3d35944d3323dbf7b60849661331800e998be0cd254e9",
+            "A.levels.order": "65c091de194e64fc27dbe66e17a681cbb025fc0ededb271dfc2c6b72a6af6792",
+            "A.levels.row": "3fc4bd33e8c5729b35c6bf42a155f3817728e90bd7472c5ea1d82a572e17fa17",
+            "A.levels.nxt": "3b1eca0a98e16e9b3d879f279269b43d54077b750ef89602900993d15572de6d",
+            "A.levels.steps": "e12da3d9272b8313bccbe531ff04293566c4fb4853f753f59d179ec8a53d1a54",
+            "A.u": "cbea6a636a106729fb2a8bfac066b10202966d3e6d9300e826574b11aab6d087",
+            "A.v": "d5ca91d5e455f0fd3314eac512e5808e29a95ec1c721d214752eff341ec58f81",
         },
         160: {
-            "height": "9a0a243c38a468ff2c650b2badab72c2c58f27be517ba56f91c01073d5a9655e",
-            "D.first": "6652ba76055a01c0da258aaf125a286f56aa9cae8425d1599e6b962bca765f68",
-            "D.state": "8fb9e2e0c6fe9b462f2c22d49712bcd3875da39452db349f2d1fa96b53197cad",
-            "D.share": "e587c905534ea0c433b9c59b76e661e8eda7522d6de344880314b47c8bcc3cda",
-            "D.r": "63c12ae6eac0beb75e1c07d7d54380c43b5d24abb7358043c52bd97eb878d3ae",
-            "D.row": "419cdb1a44523f7b45b1f036edfcce6415d3b1dba0bd084d5a58fafecf3f0be1",
-            "D.at": "2deb8af22d41604f04d9a29a0a6c0ea5c1a1facb5285a3e196ca10ee4f6e237a",
-            "D.nxt": "7b7019b68eee3159db4485575d958e0fb269ee90e1d6f5f46efcc2aca9eac9a4",
-            "D.prob": "15a6b33ef884cf824ae1cdd571ead12c5068560ebc9ced2e68e5fbb8e5c68eef",
-            "D.levels.order": "7205fb1daa74161ddab73230f2d98e09b4a43d431c57e3c90e35bfc5465ceaf8",
-            "D.levels.row": "09d5f54f7b72b257bec55778f960894201992a59206af2f3df1fc765dbb05081",
-            "D.levels.nxt": "d0f0f55d7b82f34ddbb7f625eaa8829d6ed8105564fa301612c4f4cc88a29f5e",
-            "D.levels.steps": "92c40fccd7b12dc89d7002e7b1a8c1edb6abd3f1fb88b9515da26a64b8934b0d",
-            "D.u": "07fbcb6756ba88a175275ada1ea6071b7cf5bad81ff9f924489175c728e54ce5",
-            "D.v": "d39cb5b6d63a501b41f11d4d9236b2aac8e5c8f2e016df339bfe573fa28221c4",
-            "A.first": "4cca9491047578dd6455dd635d9a9046e9bb72d66f55d673fc2138db2a38ba85",
-            "A.state": "3f5f69084ad17d96da9ea05dd8502c4adea5662f4aabc1fd7d4eb6f73d2e0bd9",
-            "A.share": "451292343ac2afe0965c0bae00771973f20fddc558a5d6091975086523cef41c",
-            "A.r": "7d115845405ba0fee664f62fb205359f7b1be9fc77d8ee96e090bc52f6a91739",
-            "A.row": "16e93c97e182f40b956cbe38a525ed271e0a78192848f286aa95812d68a37770",
-            "A.at": "77f9b84eac1facd5eb3b3a7d6870ded14b7e6b530b62554bc104bf69747c8217",
-            "A.nxt": "c20e8184e7a9d40afc38e87015803bee6bd1669c2bb8e172ec80466fcc780693",
-            "A.prob": "9dedcfb973f41d4c97943d2945d8a4469db726e8b5a145eb5bb5da6793ef1531",
-            "A.levels.order": "20c8f5132c2421c6633a388c77cdcc8689dc7a10ce48d01fc8c9b0d94520a3c0",
-            "A.levels.row": "81438ee8fdef6f16a739565092acf3a4c42d4d2ed4bd8022f9288bf41adb2b8f",
-            "A.levels.nxt": "b0c00c0faac5d2d72c489cbfe33dcd1067262bdb76c4d69e9e42743178fefb15",
-            "A.levels.steps": "cf79afccbbaa4e657bb913886825c14e54dffa0b9e2f6c2ef81ba2c37fe6f3d3",
-            "A.u": "96d46d3fbf92587671b57514f9a776c8b68ab8926131e6cde80e25ec80da956d",
-            "A.v": "a6f60f365b8b4ef4e64abbe9178e450c43eae2d5a7bdfcae941b0cc512c90d73",
+            "height": "72923a4b20ebfb0b69374525e48fd2c06fc3e6d1e403552ec93fee0d9e756c2d",
+            "D.first": "4ac59dd72b16ca23a1759b038d10fe789b121fb6c3c3ff9548b79994a9f37f3c",
+            "D.state": "0c2e380207ee58ab0033f00187fb301cd256842b6edd95acf1a2bb5fe09a8698",
+            "D.share": "eb72e7684b1798abbf23b13df843034489f5fb2196a09a76a2ff1e6565621aaa",
+            "D.r": "620157c183c56284fd646a78c8c3495b7ffdf6e70da2419a6f0480ccca3cbaef",
+            "D.row": "0398d5dbc5f16cb1bb82ae483b6273f4e912580e65d5c44ba45f9fe7d588e520",
+            "D.at": "617de2d2f486526d51825a92adeba04d55af6ff9158ba49fb6f6c93f665d52f8",
+            "D.nxt": "3ff438cf8ee3aed9ebee36fbf6230de5b8714c33ab9dff5006edcfe2f5708242",
+            "D.prob": "e267050e64032c9e63ec1b99149db8e7728cf009a6a6a1a14b4a77d8c0a52479",
+            "D.levels.order": "c46c4cc75ff9021e68f78f8d7b9a1d71c2c2e3334498389f3dd6fdd6abbd5787",
+            "D.levels.row": "9935e0fb1510c86c44015627073d807e4b0a2ee6fc291b7cf63df93063fb8e57",
+            "D.levels.nxt": "3ed5a29727dc6712d4627c8b826efb6909f19ea76bc48b112a8be6a76369f921",
+            "D.levels.steps": "c934ba36ad77e39be48ac9bb491245a04c53b8927330b8e7bbb11f1d380e5f8b",
+            "D.u": "09a96ad36c103297c6157fa368aea384f95a98e3331f0a9e90458a574f5f4f99",
+            "D.v": "e78abe7c27f0bfcfa16fc0e540855edeb12b81a4052ae07808450802080cfdd9",
+            "A.first": "e70b0ce0ebdd343e8a28f5febca954a59e6c439e8c5012ee9b369b69a812e34f",
+            "A.state": "851282f3d20437416463341eb40ec6ccb984140a3711bd4e90388cedbae816b8",
+            "A.share": "4188137aa97a9ce6106fc25c12e1d2d82d8afb06c989ef3b70a0413b5bc9a195",
+            "A.r": "bb7874b5e89f40ca717be0f565847a22cfd3a8cb085733cc480a7aa3826ccb96",
+            "A.row": "b9249d829d84f157d651d23be3b543e759f142397ca8829c29a62c8e70af3632",
+            "A.at": "16705bb2468ee4a9d09bb79a282725753b4943005279fedb5c058d2e9f097604",
+            "A.nxt": "86eca1e8230973aaa3b8d71f3d8bbaed9a0572b4dedb7ef99520f396a23b102f",
+            "A.prob": "7aa13f24a6af7c5fd5537903dab7a199cd3ee47fa0b31db251f6aea34d83daed",
+            "A.levels.order": "cea88559ad35d4daadd79ab62aba1960950b0d5d0aae292c7ed7755073f57b1f",
+            "A.levels.row": "9570039a752585548876a524b427f40b24cba2fd8e9b6a268fa9dd903c3bfbc8",
+            "A.levels.nxt": "ab338fa18fb1aabf05ef089fa389f57666d8fd025a2ebc56be4c03da9f81c544",
+            "A.levels.steps": "3c9ba0771c62969ee10d842cdc6281326072e8d3d219a9e4313a70b190d914ee",
+            "A.u": "1a9f8788fbd6b0926415b2fa80411d067e2b8d9f6681c6425eb8a2bf7a580b18",
+            "A.v": "ce0fa77ca34f749c621874ea66b160855071019bf2e4336decfde877cb8e44ba",
         },
     }
 

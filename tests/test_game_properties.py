@@ -5,7 +5,8 @@ intruder action, defender case) and derives every joint action's outcomes
 from that table.  The oracle here is the rule written per joint action, as
 the paper states it, independently of the package's case mapping: for every
 joint action ``Game.outcomes`` and the reachable set must equal what that
-rule gives, bit for bit.
+rule gives, bit for bit.  The game keeps only the (node, stage) pairs a play
+reaches, in order; its oracle is a walk over the attack graph itself.
 
 ``Game.marginalize`` reads the case table, not the joint actions.  Its
 oracle is the marginal summed per joint action from ``Game.outcomes``.
@@ -109,9 +110,42 @@ def test_factored_build_matches_the_joint_action_rule(game):
     assert np.flatnonzero(game.reachable).tolist() == sorted(reach)
 
 
+def reachable_pairs(ifg):
+    """The (node, stage) pairs a play reaches: the entries at stage 1, then
+    each out-edge of a pair that is not a target of its stage, and each
+    target's node at the next stage."""
+    succ = {}
+    for u, v in ifg.edges:
+        succ.setdefault(u, set()).add(v)
+    seen, stack = set(), [(i, 1) for i in ifg.entries]
+    while stack:
+        i, j = pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        if i not in ifg.destinations[j - 1]:
+            stack += [(k, j) for k in succ.get(i, ())]
+        elif j < ifg.stages:
+            stack.append((i, j + 1))
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_games())
+def test_states_are_the_reachable_pairs_in_order(game):
+    assert (game.height >= 0).all()  # every state is in the restart DAG, so reached
+    assert game.state_label(0) == "s0" and game.node_of[ROOT] == -1
+    pairs = list(zip(game.stage_of[1:].tolist(), game.node_of[1:].tolist()))
+    assert pairs == sorted(pairs) and len(set(pairs)) == len(pairs)
+    assert {(i, j) for j, i in pairs} == reachable_pairs(game.ifg)
+    for j, i in pairs:
+        assert game.state_label(game.state_index(i, j)) == f"n{i}@{j}"
+
+
 def test_large_relaxed_build_matches_the_joint_action_rule():
     """A 160-node game with strict_table off and cost (-0.0 among them) and
-    false-negative (0.0 among them) overrides, checked on seeded states."""
+    false-negative (0.0 among them) overrides, checked on seeded states: the
+    root, the kept states an override names, found by label, and 60 more."""
     ifg = generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1)
     rng = np.random.default_rng(160)
     free = ifg.entries | set().union(*ifg.destinations)
@@ -120,11 +154,18 @@ def test_large_relaxed_build_matches_the_joint_action_rule():
         rng.choice(chargeable, 40), rng.integers(1, 4, 40), rng.choice([-0.0, -0.5, -2.5], 40))}
     rates = {(int(i), int(j)): float(r) for i, j, r in zip(
         rng.integers(0, ifg.n_nodes, 60), rng.integers(1, 4, 60), rng.choice([0.0, 0.5, 0.9], 60))}
-    assert -0.0 in costs.values() and 0.0 in rates.values()
     params = dataclasses.replace(RewardParams.defaults(3), strict_table=False, cost_overrides=costs)
     game = build_game(ifg, params, FnRates(0.2, rates))
     assert not (np.signbit(game.cost_d) & (game.cost_d == 0.0)).any()  # free costs are +0.0
-    states = [ROOT, *(game.state_index(i, j) for i, j in sorted(set(costs) | set(rates)))]
+    label = {game.state_label(s): s for s in range(game.n_states)}
+    costs, rates = ({key: x for key, x in d.items() if f"n{key[0]}@{key[1]}" in label}
+                    for d in (costs, rates))
+    assert -0.0 in costs.values() and 0.0 in rates.values()  # overrides the game kept
+    for (i, j), c in costs.items():
+        assert game.cost_d[label[f"n{i}@{j}"]] == c
+    for (i, j), r in rates.items():
+        assert game.fn[label[f"n{i}@{j}"]] == r
+    states = [ROOT, *(label[f"n{i}@{j}"] for i, j in sorted(set(costs) | set(rates)))]
     states += rng.choice(game.n_states, 60, replace=False).tolist()
     for s in states:
         for di, d in enumerate(game.actions_d[s]):

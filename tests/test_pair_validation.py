@@ -2,21 +2,16 @@
 
 Each of them calls ``PolicyPair.validate`` before any arithmetic (and
 ``best_response`` checks its opponent the same way): the defender's policy
-comes first, every row has its state's length, and every row at a reachable
-state is a finite probability vector.  Rows at unreachable states go
-unchecked, and since every weight vector is read through ``Game._weights``
-they have no effect anywhere: a NaN or inf there gives the clean pair's
-outputs, bit for bit, with no warning.
+comes first, every row has its state's length, and every row is a finite
+probability vector.  Every state of a built game is reachable from the
+root, so no row goes unchecked.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from diftgame.env import Env, rollout_average
 from diftgame.equilibrium import (
-    EvalResult,
     best_response,
     certify_arne,
     compare_defenses,
@@ -62,23 +57,8 @@ def uniform_pair(game):
     return PolicyPair(uniform_policy(game, "D"), uniform_policy(game, "A"))
 
 
-def plain(x):
-    """An oracle's output as plain, exactly comparable Python values."""
-    if isinstance(x, Policy):
-        return (x.player, x.flat.tolist())
-    if isinstance(x, EvalResult):
-        return plain(vars(x))
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, dict):
-        return {k: plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [plain(v) for v in x]
-    return vars(x) if hasattr(x, "__dict__") else x
-
-
-def reachable_state(game, pol):
-    return next(int(s) for s in np.flatnonzero(game.reachable) if len(pol.table[s]) > 1)
+def multi_action_state(pol):
+    return next(s for s, row in enumerate(pol.table) if len(row) > 1)
 
 
 SPOILS = {
@@ -97,7 +77,7 @@ def test_invalid_reachable_row_raises(game40, consumer, player, spoil):
     om = omega(game40, clean, ev)
     pi = clean.copy()
     pol = getattr(pi, player)
-    s = reachable_state(game40, pol)
+    s = multi_action_state(pol)
     pol.table[s][:] = SPOILS[spoil](pol.table[s])
     with pytest.raises(ValueError, match=f"state {s}: probabilities invalid"):
         CONSUMERS[consumer](game40, pi, ev, om)
@@ -105,7 +85,7 @@ def test_invalid_reachable_row_raises(game40, consumer, player, spoil):
 
 def test_certify_validates_before_any_dense_work(game40, monkeypatch):
     pi = uniform_pair(game40)
-    s = reachable_state(game40, pi.a)
+    s = multi_action_state(pi.a)
     pi.a.table[s][:] = SPOILS["negative"](pi.a.table[s])
 
     def refuse(*args, **kwargs):
@@ -117,42 +97,12 @@ def test_certify_validates_before_any_dense_work(game40, monkeypatch):
         certify_arne(game40, pi, 0.5)
 
 
-UNREACHABLE = {
-    "nan": lambda row: np.full_like(row, np.nan),
-    "inf": lambda row: np.full_like(row, np.inf),
-    "mixed": lambda row: np.resize([np.inf, -np.inf, np.nan], len(row)),
-}
-
-
-@pytest.mark.parametrize("spoil", list(UNREACHABLE))
-@pytest.mark.parametrize("players", ["d", "a", "da"])
-def test_unreachable_rows_have_no_effect(game40, players, spoil):
-    clean = uniform_pair(game40)
-    ev = evaluate_policy_pair(game40, clean)
-    om = omega(game40, clean, ev)
-    dirty = clean.copy()
-    dead = np.flatnonzero(~game40.reachable)
-    assert len(dead) and any(len(clean.d.table[s]) > 1 for s in dead)
-    for player in players:
-        pol = getattr(dirty, player)
-        for s in dead:
-            pol.table[s][:] = UNREACHABLE[spoil](pol.table[s])
-    R = np.flatnonzero(game40.reachable)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for name, f in CONSUMERS.items():
-            assert plain(f(game40, dirty, ev, om)) == plain(f(game40, clean, ev, om)), name
-        for f, rows in ((game40.induced_chain, R), (game40.expected_rewards, slice(None))):
-            got, want = (np.asarray(f(pi))[rows][..., R] for pi in (dirty, clean))
-            assert np.array_equal(got, want), f.__name__
-
-
 @pytest.mark.parametrize("consumer", list(CONSUMERS))
-def test_row_of_the_wrong_length_raises_at_an_unreachable_state(game40, consumer):
+def test_row_of_the_wrong_length_raises(game40, consumer):
     clean = uniform_pair(game40)
     ev = evaluate_policy_pair(game40, clean)
     rows = list(clean.d.table)
-    s = int(next(s for s in np.flatnonzero(~game40.reachable) if len(rows[s]) > 1))
+    s = multi_action_state(clean.d)
     rows[s] = rows[s][1:]
     with pytest.raises(ValueError, match=f"state {s}: {len(rows[s])} probs"):
         CONSUMERS[consumer](game40, PolicyPair(Policy("D", rows), clean.a), ev, omega(game40, clean, ev))

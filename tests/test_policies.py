@@ -208,6 +208,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Policy("A", rows).validate(game)
 
+    @pytest.mark.parametrize("player", ["X", "d", ""])
+    def test_policy_for_no_player_rejected(self, game, player):
+        # the intruder's rows, which would fit, under a name that is no player
+        pol = Policy(player, uniform_policy(game, "A").table)
+        with pytest.raises(ValueError, match=f"{player!r} is neither 'D' nor 'A'"):
+            pol.validate(game)
+
     def test_floor_argument(self, game):
         pol = uniform_policy(game, "A")
         pol.validate(game, floor=1e-3)

@@ -5,7 +5,7 @@ Given no evaluation, ``exact_gradient``, ``omega``, ``residuals`` and
 restart DAG: no n x n matrix, no ``classify_chain``, no linear solve.  Given
 ``evaluate_policy_pair``'s dense evaluation instead, they use that.  Both
 routes must agree within 1e-12 on every input, and the restart route keeps
-the 1e-9 residual check and validates the policies' reachable rows.
+the 1e-9 residual check and validates the policies' rows.
 """
 
 import numpy as np
@@ -79,7 +79,7 @@ def test_no_matrix_class_split_or_solve(games, f, monkeypatch):
 def test_nudged_restart_bias_raises(games, f, monkeypatch):
     game = games["learn"]
     restart = Marginal.restart_solve
-    s = int(np.flatnonzero(game.reachable)[2])
+    s = 2
 
     def nudged(*args):
         gain, v = restart(*args)
@@ -98,7 +98,7 @@ def test_invalid_reachable_row_raises(games, f, player, spoil):
     game = games["learn"]
     pi = make_pair(game, "dirichlet")
     pol = getattr(pi, player)
-    s = next(int(s) for s in np.flatnonzero(game.reachable) if len(pol.table[s]) > 1)
+    s = next(s for s, row in enumerate(pol.table) if len(row) > 1)
     if spoil == "nan":
         pol.table[s][:] = np.nan
     else:

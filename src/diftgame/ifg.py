@@ -22,6 +22,8 @@ import logging
 from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -95,10 +97,15 @@ class Ifg:
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes]
+        _plain_ints(ids, "node id")
+        _plain_ints(list(self.entries), "entry")
+        _plain_ints(list(chain.from_iterable(self.destinations)), "destination")
         if ids != list(range(len(ids))):
             raise GraphLoadError("node ids must be dense 0..N-1 and sorted")
         idset = set(ids)
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                _plain_ints([u, v], "edge end")
             if u not in idset or v not in idset:
                 raise GraphLoadError(f"edge ({u},{v}) references unknown node")
             if u == v:
@@ -122,6 +129,15 @@ class Ifg:
                 f"nodes {sorted(extra)} lie on no entry-to-target or "
                 "target-to-target flow path"
             )
+
+
+def _plain_ints(values: list[object], what: str) -> None:
+    """Raise :class:`GraphLoadError` naming the first of ``values`` that is
+    not a plain ``int``.  ``True`` and ``np.int64(1)`` both equal 1 and pass
+    every set and range test, but neither is written to a graph file as 1."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise GraphLoadError(f"{what} {bad!r} is not a plain int")
 
 
 def _node_ids(value: object, what: str) -> list[int]:
@@ -203,17 +219,54 @@ def load_graph(path: str) -> RawLogGraph:
     return RawLogGraph(nodes, edges, entries, destinations, dropped)
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A list as ``json.dump(..., indent=1)`` writes it at depth
+    ``len(indent)``, from its items already rendered one level deeper."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def save_graph(g: RawLogGraph | Ifg, path: str) -> None:
-    """Write a graph in the same JSON schema ``load_graph`` reads."""
-    data = {
-        "nodes": [{"id": n.id, "kind": n.kind, "label": n.label} for n in g.nodes],
-        "edges": [list(e) for e in sorted(g.edges)],
-        "entries": sorted(g.entries),
-        "destinations": [sorted(d) for d in g.destinations],
-    }
+    """Write a graph in the same JSON schema ``load_graph`` reads.
+
+    The text is byte for byte what ``json.dump(doc, fh, indent=1)`` writes,
+    plus a final newline, where ``doc`` holds the nodes by ``id``, ``kind``
+    and ``label``, the sorted edges as pairs, the sorted entries and each
+    destination set sorted.  ``json.dump`` with an indent always runs json's
+    pure-Python encoder, so the text is built here from one format string
+    per node and one per edge; strings go through the ASCII escaper that
+    encoder uses by default.  Every id must be a plain ``int``, as
+    :meth:`Ifg.validate` checks, and the file is opened only once the whole
+    text is built, so a bad graph leaves no partial file.
+    """
+    edges = sorted(g.edges)
+    ends = list(chain.from_iterable(edges))
+    entries = sorted(g.entries)
+    destinations = [sorted(d) for d in g.destinations]
+    for what, values in (
+        ("node id", [n.id for n in g.nodes]),
+        ("edge end", ends),
+        ("entry", entries),
+        ("destination", list(chain.from_iterable(destinations))),
+    ):
+        _plain_ints(values, what)
+    nodes = [
+        '  {\n   "id": %d,\n   "kind": %s,\n   "label": %s\n  }'
+        % (n.id, _json_str(n.kind), _json_str(n.label))
+        for n in g.nodes
+    ]
+    # one pair of %d slots per edge, all filled by one format call
+    edge_list = _json_list(["  [\n   %d,\n   %d\n  ]"] * len(edges), " ") % tuple(ends)
+    groups = ["  " + _json_list(["   %d" % u for u in d], "  ") for d in destinations]
+    text = '{\n "nodes": %s,\n "edges": %s,\n "entries": %s,\n "destinations": %s\n}\n' % (
+        _json_list(nodes, " "),
+        edge_list,
+        _json_list(["  %d" % u for u in entries], " "),
+        _json_list(groups, " "),
+    )
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def collapse_multi_edges(g: RawLogGraph) -> RawLogGraph:
@@ -448,6 +501,13 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     walk up stopping at any node that already has them, since its ancestors
     have them too.  A root's versions reach the union of their bitsets.
 
+    When pass 1 finds no back edge and no input node is a version copy,
+    the function returns right after it, with the input's edges collapsed
+    and sorted and its roles kept.  Pass 2 could add nothing there: ``out``
+    would equal the input's adjacency and every node would be its own root,
+    so each ``reach[x]`` would equal ``closure[x]`` and no pair would be
+    missing.  Input with version copies always runs pass 2.
+
     Entries and destination sets are extended with the versions of their
     members: a version copy stands for the same system entity.
     """
@@ -473,6 +533,15 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
             else:
                 color[u] = 2
                 stack.pop()
+
+    if not back_edges and all(n.origin is None for n in g.nodes):
+        ids = set(adj)
+        edges = [(u, v) for u in order for v in adj[u]]
+        destinations = [ids.intersection(d) for d in g.destinations]
+        return RawLogGraph(
+            list(g.nodes), edges, ids.intersection(g.entries), destinations,
+            g.self_loops_dropped,
+        )
 
     by_id = {n.id: n for n in g.nodes}
     next_id = max(by_id) + 1 if by_id else 0

@@ -6,6 +6,8 @@ or cross-checked with the brute-force helpers at the bottom, then frozen.
 
 import hashlib
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -431,6 +433,89 @@ class TestVersioningGoldenAtScale:
         g = golden_graph(np.random.default_rng([2026, n, seed]), n, seed % 2)
         out = remove_cycles_by_versioning(g)
         assert graph_digest(out) == GOLDEN_VERSIONING_AT_SCALE[n, seed]
+
+
+def as_raw(g, edges):
+    """``g``'s nodes without version origins, as a raw graph on ``edges``."""
+    nodes = [IfgNode(n.id, n.kind, n.label) for n in g.nodes]
+    return RawLogGraph(nodes, edges, set(g.entries), [set(d) for d in g.destinations])
+
+
+class TestVersioningAcyclicInput:
+    """Without a back edge or a version copy, versioning returns after pass 1:
+    the input with its edges collapsed and sorted.  Pruned outputs fed back
+    are checked in test_ifg_properties.py."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synthetic_graphs(self, seed):
+        ifg = generate_synthetic(40, 3, 2, (1, 2, 1), 0.15, seed=seed)
+        rng = np.random.default_rng(seed)
+        edges = sorted(ifg.edges)
+        # shuffled, with parallel copies of some edges
+        edges = [edges[i] for i in rng.permutation(len(edges))] + edges[::3]
+        g = replace(as_raw(ifg, edges), self_loops_dropped=seed)
+        out = remove_cycles_by_versioning(g)
+        assert out.nodes == g.nodes
+        assert out.edges == sorted(ifg.edges)
+        assert out.entries == g.entries
+        assert out.destinations == g.destinations
+        assert out.self_loops_dropped == seed
+
+
+# How remove_cycles_by_versioning(remove_cycles_by_versioning(golden_input(seed)))
+# fails.  The first output is acyclic but full of version copies, so the
+# second call has to run pass 2, which fails there (a copy is a closure
+# target that no root bitset names); a return after pass 1 would hide that.
+VERSIONING_TWICE = {
+    0: "cycle removal failed to restore 0 -> 25",
+    1: "cycle removal failed to restore 0 -> 23",
+    2: "cycle removal failed to restore 2 -> 17",
+    3: "cycle removal failed to restore 0 -> 22",
+}
+
+
+class TestVersioningTwice:
+    @pytest.mark.parametrize("seed", sorted(VERSIONING_TWICE))
+    def test_version_copies_keep_pass_two(self, seed):
+        once = remove_cycles_by_versioning(golden_input(seed))
+        assert assert_acyclic(once) and any(n.origin is not None for n in once.nodes)
+        with pytest.raises(InfeasibleGraphError) as err:
+            remove_cycles_by_versioning(once)
+        assert str(err.value) == VERSIONING_TWICE[seed]
+
+
+class TestIdTypes:
+    """Ids must be plain ints: True and np.int64(1) equal 1 and pass every
+    set test, but a graph file would hold ``true`` or nothing at all."""
+
+    @staticmethod
+    def graph(node=1, end=1, entry=0, dest=1):
+        nodes = [IfgNode(0, "process", "a"), IfgNode(node, "file", "b")]
+        return Ifg(nodes, {(0, end)}, {entry}, [{dest}])
+
+    CASES = [
+        ("node id", True, dict(node=True, end=True, dest=True)),
+        ("node id", np.int64(1), dict(node=np.int64(1))),
+        ("edge end", np.int64(1), dict(end=np.int64(1))),
+        ("edge end", True, dict(end=True)),
+        ("entry", np.int32(0), dict(entry=np.int32(0))),
+        ("destination", True, dict(dest=True)),
+    ]
+
+    @pytest.mark.parametrize("role, bad, kwargs", CASES)
+    def test_validate_names_the_value(self, role, bad, kwargs):
+        with pytest.raises(GraphLoadError, match=re.escape(f"{role} {bad!r} is not a plain int")):
+            self.graph(**kwargs).validate()
+
+    @pytest.mark.parametrize("role, bad, kwargs", CASES)
+    def test_save_graph_writes_no_file(self, role, bad, kwargs, tmp_path):
+        path = tmp_path / "g.json"
+        g = self.graph(**kwargs)
+        for graph in (g, as_raw(g, list(g.edges))):
+            with pytest.raises(GraphLoadError, match=re.escape(f"{role} {bad!r}")):
+                save_graph(graph, str(path))
+            assert not path.exists()
+
 
 class TestToIfg:
     def test_dense_reindex_after_prune(self):

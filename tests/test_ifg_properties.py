@@ -3,12 +3,15 @@
 Reachability is checked against ``networkx.transitive_closure``, an oracle
 written independently of the package (networkx is a test-only dependency).
 The graph file format is checked by round trips through ``save_graph`` and
-``load_graph``.  The one strongly-connected-component routine, ``_sccs``,
-and its users ``assert_acyclic``, ``_closure`` and ``classify_chain`` are
-checked against networkx's components, DAG test, transitive closure and
-attracting components.
+``load_graph``, and against the bytes ``json.dumps(doc, indent=1)`` gives
+for the document ``save_graph`` used to hand to ``json.dump``.  The one
+strongly-connected-component routine, ``_sccs``, and its users
+``assert_acyclic``, ``_closure`` and ``classify_chain`` are checked against
+networkx's components, DAG test, transitive closure and attracting
+components.
 """
 
+import json
 import os
 import tempfile
 
@@ -22,6 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from diftgame.game import classify_chain  # noqa: E402
 from diftgame.ifg import (  # noqa: E402
     NODE_KINDS,
+    GraphLoadError,
     Ifg,
     IfgNode,
     RawLogGraph,
@@ -93,31 +97,61 @@ def test_pipeline_acyclic_and_reachability_preserved(case):
     assert nx.is_directed_acyclic_graph(dag)
 
 
+# quotes, backslashes, control characters, non-ASCII, a lone surrogate and
+# non-BMP text, plus whatever else hypothesis draws
+LABELS = st.text(st.sampled_from('"\\/%\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600a') | st.characters())
+
+
 @st.composite
 def saved_graphs(draw):
-    """A raw graph (nodes in any order, parallel edges and self-loops) or an
-    Ifg (a set of forward edges, version origins), with arbitrary labels and
-    role sets; neither is validated, since saving never validates."""
-    n = draw(st.integers(1, 12))
-    ids = st.integers(0, n - 1)
+    """A raw graph (dense or sparse ids, nodes in any order, parallel edges
+    and self-loops) or an Ifg (a set of forward edges, version origins),
+    with arbitrary labels and role sets: possibly no node, no edge, no
+    entry, an empty destination set or no stage.  Neither is validated,
+    since saving checks only that ids are plain ints."""
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        ids = sorted(draw(st.sets(st.integers(0, 10**12), min_size=n, max_size=n)))
+    else:
+        ids = list(range(n))
+    node = st.sampled_from(ids) if ids else st.nothing()
     nodes = [
-        IfgNode(i, draw(st.sampled_from(NODE_KINDS)), draw(st.text(max_size=6)), draw(st.none() | ids))
-        for i in range(n)
+        IfgNode(i, draw(st.sampled_from(NODE_KINDS)), draw(LABELS), draw(st.none() | node))
+        for i in ids
     ]
-    entries = draw(st.sets(ids))
-    destinations = draw(st.lists(st.sets(ids, min_size=1), max_size=3))
-    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    entries = draw(st.sets(node))
+    destinations = draw(st.lists(st.sets(node), max_size=3))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
     if draw(st.booleans()):
         return RawLogGraph(draw(st.permutations(nodes)), pairs, entries, destinations)
     return Ifg(nodes, {(u, v) for u, v in pairs if u < v}, entries, destinations)
 
 
-@settings(max_examples=100, deadline=None)
+def json_doc(g):
+    """The document save_graph used to pass to ``json.dump(indent=1)``."""
+    return {
+        "nodes": [{"id": n.id, "kind": n.kind, "label": n.label} for n in g.nodes],
+        "edges": [list(e) for e in sorted(g.edges)],
+        "entries": sorted(g.entries),
+        "destinations": [sorted(d) for d in g.destinations],
+    }
+
+
+@settings(max_examples=200, deadline=None)
 @given(saved_graphs())
 def test_save_load_round_trip(g):
+    """The file holds the bytes ``json.dumps(json_doc(g), indent=1)`` gives,
+    plus a newline, and loads back whenever its ids are dense."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.json")
         save_graph(g, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == (json.dumps(json_doc(g), indent=1) + "\n").encode()
+        ids = sorted(n.id for n in g.nodes)
+        if not ids or ids != list(range(len(ids))):
+            with pytest.raises(GraphLoadError, match="nonempty|dense"):
+                load_graph(path)
+            return
         back = load_graph(path)
     assert back.nodes == [IfgNode(n.id, n.kind, n.label) for n in sorted(g.nodes, key=lambda n: n.id)]
     # the file keeps edges sorted; loading drops self-loops and counts them
@@ -125,6 +159,27 @@ def test_save_load_round_trip(g):
     assert back.self_loops_dropped == sum(u == v for u, v in g.edges)
     assert back.entries == g.entries
     assert back.destinations == g.destinations
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_multigraphs())
+def test_versioning_returns_pruned_output_unchanged(case):
+    """A pruned file read back is acyclic and holds no version copy, so
+    versioning returns it with its edges collapsed and sorted."""
+    raw, merge = case
+    g = collapse_multi_edges(raw)
+    g = prune_attack_subgraph(g, g.entries, g.destinations)
+    if merge:
+        g = merge_directory_nodes(g, {"/m/": "/m"})
+    g = remove_cycles_by_versioning(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        save_graph(to_ifg(prune_attack_subgraph(g, g.entries, g.destinations)), path)
+        pruned = load_graph(path)
+    out = remove_cycles_by_versioning(pruned)
+    assert (out.nodes, out.edges, out.entries, out.destinations) == (
+        pruned.nodes, sorted(set(pruned.edges)), pruned.entries, pruned.destinations
+    )
 
 
 @st.composite

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -122,11 +123,39 @@ def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
     """Euclidean projection onto {p : p >= floor, sum p = 1}, as a list;
     floor * len(v) < 1 keeps that set nonempty.  Sort and threshold on plain
     floats: on the learner's rows of 2-27 entries that is 3-7x faster than
-    numpy's sort and cumsum."""
+    numpy's sort and cumsum.
+
+    A 2-entry row, the commonest in the learner, skips the sort and the
+    loop: it makes their IEEE operations in their order, so its output
+    has the same bits.  ``sorted(w, reverse=True)`` puts the second entry
+    first only when the first is strictly less (a tie or a NaN keeps the
+    order); the loop's ``0.0 + hi`` and ``/ 1`` are exact and dropped (a
+    signed zero of ``0.0 + hi`` is lost in the ``- mass`` that follows, as
+    mass > 0); theta is the last t whose test ``u - t > 0`` holds.  A row
+    with no threshold, from NaN or inf entries or from magnitudes where
+    ``hi - mass`` rounds to ``hi``, raises as the loop does."""
     n = len(v)
     if floor < 0 or floor * n >= 1.0:
         raise ValueError(f"floor {floor} infeasible for {n} actions")
     mass = 1.0 - floor * n
+    if n == 2:
+        a = v[0] - floor
+        b = v[1] - floor
+        if a < b:
+            hi, lo = b, a
+        else:
+            hi, lo = a, b
+        t = hi - mass
+        theta = t if hi - t > 0 else None
+        t = (hi + lo - mass) / 2
+        if lo - t > 0:
+            theta = t
+        elif theta is None:
+            raise ValueError(f"no simplex threshold for {v}")
+        return [
+            floor + (0.0 if (d := a - theta) <= 0.0 else d),
+            floor + (0.0 if (d := b - theta) <= 0.0 else d),
+        ]
     w = [x - floor for x in v]
     rho = 0
     acc = 0.0
@@ -201,10 +230,41 @@ def policy_from_json(game: Game, data: dict) -> Policy:
     return pol
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def save_policy(game: Game, policy: Policy, path: str) -> None:
+    """Write ``policy_to_json(game, policy)`` to ``path``.
+
+    The text is byte for byte what ``json.dump(doc, fh, indent=1)`` writes,
+    plus a final newline.  ``json.dump`` with an indent always runs json's
+    pure-Python encoder, so the text is built here, as ``ifg.save_graph``
+    builds a graph file: one format string per state, labels through the
+    ASCII escaper that encoder uses by default, and probabilities as
+    ``float.__repr__`` (``NaN``, ``Infinity`` or ``-Infinity`` where the
+    value is not finite, as json writes them).  The file is opened only
+    once the whole text is built.
+    """
+    sets = game.actions_d if policy.player == "D" else game.actions_a
+    label = game.action_label
+    probs = list(map(float.__repr__, policy.flat.tolist()))
+    if not np.isfinite(policy.flat).all():
+        probs = [_JSON_NONFINITE.get(r, r) for r in probs]
+
+    def block(items: list[str]) -> str:  # a list at depth 3, items at depth 4
+        return "[\n    " + ",\n    ".join(items) + "\n   ]" if items else "[]"
+
+    states = [
+        '  {\n   "state": %d,\n   "actions": %s,\n   "probs": %s\n  }'
+        % (s, block([_json_str(label(a)) for a in sets[s]]), block(probs[i:j]))
+        for s, (i, j) in enumerate(itertools.pairwise(policy.first.tolist()))
+    ]
+    text = '{\n "player": %s,\n "states": %s\n}\n' % (
+        _json_str(policy.player),
+        "[\n" + ",\n".join(states) + "\n ]" if states else "[]",
+    )
     with open(path, "w") as fh:
-        json.dump(policy_to_json(game, policy), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_policy(game: Game, path: str) -> Policy:

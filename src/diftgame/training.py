@@ -169,54 +169,66 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     """Advance the shared trajectory by one joint action and update tables.
 
     All right-hand sides use the pre-update iterates; commits happen at the
-    end, so the three timescales read one consistent snapshot.
+    end, so the three timescales read one consistent snapshot.  The body is
+    straight-line code over locals, with ``td_residual`` written inline in
+    its operation order; the environment is stepped through ``env.step``
+    and rows are projected through this module's ``project_simplex``.
     """
     s = st.current
     n = st.n
+    visits = st.visits
     if n >= cfg.warmup:
-        st.visits[s] += 1
-    d_v, _, d_eps, d_pi = schedules(n, s, cfg, st.visits)
+        visits[s] += 1
+    d_v, _, d_eps, d_pi = schedules(n, s, cfg, visits)
 
-    pi_d = st.pi_d
-    pi_a = st.pi_a
-    di = pick(pi_d[s], next(st._uniforms))
-    ai = pick(pi_a[s], next(st._uniforms))
-    acts_d, acts_a = env.actions(s)
-    s2, r_d, r_a = env.step(acts_d[di], acts_a[ai])
+    row_d = st.pi_d[s]
+    row_a = st.pi_a[s]
+    draws = st._uniforms
+    di = pick(row_d, next(draws))
+    ai = pick(row_a, next(draws))
+    s2, r_d, r_a = env.step(env._actions_d[s][di], env._actions_a[s][ai])
 
-    td_d = td_residual(r_d, st.rho_d, st.v_d, s, s2)
-    td_a = td_residual(r_a, st.rho_a, st.v_a, s, s2)
+    v_d = st.v_d
+    v_a = st.v_a
+    rho_d = st.rho_d
+    rho_a = st.rho_a
+    vs_d = v_d[s]
+    vs_a = v_a[s]
+    td_d = r_d - rho_d + v_d[s2] - vs_d
+    td_a = r_a - rho_a + v_a[s2] - vs_a
     td_sum = td_d + td_a
-    eps_d_old = st.eps_d[s][di]
-    eps_a_old = st.eps_a[s][ai]
+    eps_d = st.eps_d[s]
+    eps_a = st.eps_a[s]
+    eps_d_old = eps_d[di]
+    eps_a_old = eps_a[ai]
 
-    st.v_d[s] += d_v * td_d
-    st.v_a[s] += d_v * td_a
+    v_d[s] = vs_d + d_v * td_d
+    v_a[s] = vs_a + d_v * td_a
     # Payoff averages advance as plain running means over the whole run.
     # Multiplying the mean correction by the payoff schedule on top of the
     # built-in 1/(n+1) would decay twice and freeze the iterate near its
     # warmup value, which breaks gain tracking once the policies move.
-    st.rho_d += (n * st.rho_d + r_d) / (n + 1) - st.rho_d
-    st.rho_a += (n * st.rho_a + r_a) / (n + 1) - st.rho_a
-    st.eps_d[s][di] += d_eps * (td_sum - eps_d_old)
-    st.eps_a[s][ai] += d_eps * (td_sum - eps_a_old)
+    st.rho_d = rho_d + ((n * rho_d + r_d) / (n + 1) - rho_d)
+    st.rho_a = rho_a + ((n * rho_a + r_a) / (n + 1) - rho_a)
+    eps_d[di] = eps_d_old + d_eps * (td_sum - eps_d_old)
+    eps_a[ai] = eps_a_old + d_eps * (td_sum - eps_a_old)
 
+    # The actor step is -step * sqrt(pi) * |td| * sgn(-eps); the smooth
+    # sign makes that +step * sqrt(pi) * |td| * tanh(c * eps).  A move
+    # below _MIN_STEP is no update (a NaN move is one, as it is not below).
     c = cfg.sgn_sharpness
-    for tab, own, td, eps_old in (
-        (pi_d, di, td_d, eps_d_old),
-        (pi_a, ai, td_a, eps_a_old),
-    ):
-        vec = tab[s]
-        if len(vec) == 1:
-            continue
-        # The actor step is -step * sqrt(pi) * |td| * sgn(-eps); the smooth
-        # sign makes that +step * sqrt(pi) * |td| * tanh(c * eps).
-        move = d_pi * math.sqrt(vec[own]) * abs(td) * math.tanh(c * eps_old)
-        if abs(move) < _MIN_STEP:
-            continue
-        new = list(vec)
-        new[own] += move
-        tab[s] = project_simplex(new, cfg.exploration_floor)
+    if len(row_d) > 1:
+        move = d_pi * math.sqrt(row_d[di]) * abs(td_d) * math.tanh(c * eps_d_old)
+        if not abs(move) < _MIN_STEP:
+            new = list(row_d)
+            new[di] += move
+            st.pi_d[s] = project_simplex(new, cfg.exploration_floor)
+    if len(row_a) > 1:
+        move = d_pi * math.sqrt(row_a[ai]) * abs(td_a) * math.tanh(c * eps_a_old)
+        if not abs(move) < _MIN_STEP:
+            new = list(row_a)
+            new[ai] += move
+            st.pi_a[s] = project_simplex(new, cfg.exploration_floor)
 
     st.current = s2
     st.n = n + 1

@@ -1,6 +1,7 @@
 """Policy layout and validation, baselines, simplex projection, persistence."""
 
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -293,6 +294,30 @@ class TestPersistence:
         labels = data["states"][0]["actions"]
         assert all(isinstance(x, str) for x in labels)
         assert len(set(labels)) == len(labels)
+
+    @pytest.mark.parametrize("nodes", [None, 160])
+    def test_file_bytes_are_json_dump_with_indent_1(self, nodes, tmp_path):
+        # save_policy builds its text itself; it must write what
+        # json.dump(policy_to_json(...), fh, indent=1) plus "\n" would, for
+        # Dirichlet, pure and sparse rows, for values with long and short
+        # reprs, and for NaN and inf, which json writes as NaN and Infinity
+        game = fixture_game() if nodes is None else build_game(
+            generate_synthetic(nodes, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+        )
+        rng = np.random.default_rng(nodes or 10)
+        rows = {
+            "dirichlet": lambda k: rng.dirichlet(np.ones(k)),
+            "pure": lambda k: np.eye(k)[rng.integers(k)],
+            "sparse": lambda k: np.where(rng.random(k) < 0.5, 0.0, 1e-300 * rng.random(k)),
+            "nonfinite": lambda k: rng.choice([np.nan, np.inf, -np.inf, -0.0, 1e17, 0.1], k),
+        }
+        for kind, row in rows.items():
+            for player, sets in (("D", game.actions_d), ("A", game.actions_a)):
+                pol = Policy(player, [row(len(acts)) for acts in sets])
+                path = tmp_path / f"{kind}_{player}.json"
+                save_policy(game, pol, str(path))
+                want = json.dumps(policy_to_json(game, pol), indent=1) + "\n"
+                assert path.read_bytes() == want.encode()
 
     def test_wrong_game_rejected(self, game, tmp_path):
         other = build_game(

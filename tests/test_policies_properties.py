@@ -67,12 +67,94 @@ def numpy_projection(v: np.ndarray, floor: float) -> np.ndarray:
     return floor + np.maximum(w - cssv[rho - 1] / rho, 0.0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(learner_rows())
+@st.composite
+def two_entry_rows(draw):
+    """A 2-entry row, which ``project_simplex`` projects without its loop:
+    ties, entries at the floor, negative entries and magnitudes up to 1e17
+    (where the threshold test can fail for every t), at floor 0, the
+    default exploration floor or a drawn one."""
+    floor = draw(st.one_of(st.just(0.0), st.just(1e-3), st.floats(0.0, 0.4995)))
+    entry = st.one_of(
+        st.just(floor),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + floor]),
+        st.floats(-2.0, 2.0),
+        st.floats(-1e17, 1e17),
+    )
+    a = draw(entry)
+    b = draw(st.one_of(st.just(a), entry))
+    return [a, b], floor
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(learner_rows(), two_entry_rows()))
 def test_learner_projection_is_bit_identical_to_the_library_one(case):
     v, floor = case
+    try:
+        want = numpy_projection(np.array(v), floor)
+    except IndexError:  # no t passes the threshold test
+        with pytest.raises(ValueError, match="no simplex threshold"):
+            training.project_simplex(v, floor)
+        return
     got = np.array(training.project_simplex(v, floor))
-    assert got.tobytes() == numpy_projection(np.array(v), floor).tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def loop_projection(v: list[float], floor: float) -> list[float]:
+    """The sort-and-threshold loop for every row length, as the library
+    ran it before 2-entry rows took their own path."""
+    n = len(v)
+    if floor < 0 or floor * n >= 1.0:
+        raise ValueError(f"floor {floor} infeasible for {n} actions")
+    mass = 1.0 - floor * n
+    w = [x - floor for x in v]
+    rho = 0
+    acc = 0.0
+    for i, u in enumerate(sorted(w, reverse=True), 1):
+        acc += u
+        t = (acc - mass) / i
+        if u - t > 0:
+            rho, theta = i, t
+    if not rho:
+        raise ValueError(f"no simplex threshold for {v}")
+    return [floor + (0.0 if (d := x - theta) <= 0.0 else d) for x in w]
+
+
+def outcome(project, v, floor):
+    """The output's bytes, or the ``ValueError`` message."""
+    try:
+        return np.array(project(v, floor)).tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def rows_off_the_domain(draw):
+    """Rows of 1-4 entries, mostly 2, holding NaN or +-inf entries, or
+    with a floor that is infeasible, negative, infinite or NaN."""
+    n = draw(st.sampled_from([1, 2, 2, 2, 3, 4]))
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+    v = draw(st.lists(st.one_of(special, st.floats(-2.0, 2.0)), min_size=n, max_size=n))
+    feasible = st.one_of(st.just(0.0), st.floats(0.0, 0.999 / n))
+    infeasible = st.one_of(
+        st.floats(1.0 / n, 2.0), st.floats(-1.0, -1e-300), st.sampled_from([np.inf, -np.inf, np.nan])
+    )
+    if draw(st.booleans()):
+        v[draw(st.integers(0, n - 1))] = draw(special)
+        floor = draw(feasible)
+    else:
+        floor = draw(infeasible)
+    return v, floor
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_off_the_domain())
+def test_projection_of_non_finite_rows_and_bad_floors_matches_the_loop(case):
+    # an infeasible floor raises, and a row with no threshold raises, as
+    # the loop does; the loop also returns some rows with NaN or inf
+    # entries (for example [1.0, nan] gives [1.0, nan]), and so must the
+    # 2-entry path
+    v, floor = case
+    assert outcome(training.project_simplex, v, floor) == outcome(loop_projection, v, floor)
 
 
 @st.composite

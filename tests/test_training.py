@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from diftgame import training
 from diftgame.env import Env
 from diftgame.game import FnRates, RewardParams, build_game
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
@@ -17,6 +19,7 @@ from diftgame.training import (
     train,
     train_step,
 )
+from test_acceptance import fixture_game
 
 
 def tiny_game():
@@ -311,3 +314,26 @@ def test_model_free_train_golden(seed, digest):
             h.update(np.asarray(row, dtype=float).tobytes())
     h.update(repr([(n, float(rd), float(ra)) for n, rd, ra, *_ in hist.rows]).encode())
     assert h.hexdigest() == digest
+
+
+def test_traced_entry_points_run_once_per_step(monkeypatch):
+    # perfbench counts calls to training.train_step, Env.step and
+    # training.project_simplex for its env.step_calls, train_step_calls,
+    # project_simplex_calls and actor_update_ratio figures; a train or
+    # train_step that inlined one of them would leave its figure unmeasured.
+    # 31167 projections (two per state at start and end, one per actor
+    # update) were counted before 2-entry rows skipped the projection loop.
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(training, "train_step", counted("train_step", training.train_step))
+    monkeypatch.setattr(Env, "step", counted("step", Env.step))
+    monkeypatch.setattr(training, "project_simplex", counted("project", training.project_simplex))
+    train(Env(fixture_game(), seed=17), TrainConfig(iterations=20000, seed=17))
+    assert counts == {"train_step": 20000, "step": 20000, "project": 31167}

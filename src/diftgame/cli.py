@@ -242,11 +242,15 @@ def cmd_prune(args: argparse.Namespace) -> int:
         merges[prefix] = label
     if merges:
         g = merge_directory_nodes(g, merges)
+    n_kept = len(g.nodes)
     g = remove_cycles_by_versioning(g)
     # versioning can leave dead-end copies (a back edge whose target is
     # still reachable another way); those are not flow relevant, so prune
-    # once more before validating
-    g = prune_attack_subgraph(g, g.entries, g.destinations)
+    # once more before validating.  Without a copy there is nothing to
+    # prune: every node the first prune kept lies on an entry-to-target or
+    # target-to-target walk, and merging maps each walk onto one
+    if len(g.nodes) > n_kept:
+        g = prune_attack_subgraph(g, g.entries, g.destinations)
     ifg = to_ifg(g)
     save_graph(ifg, args.out)
     print(

@@ -495,11 +495,12 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     repair, which is the sorted pair order because repairs only add
     reachability.  The shortest paths from one source all come from one
     breadth-first parent map, built at its first missing pair.  Every node
-    keeps the bitset of roots its descendants have, folded sinks first after
-    pass 1 and kept exact per repair: each chain node gains the roots after
-    it, and the chain's start and its ancestors gain the chain's roots, the
-    walk up stopping at any node that already has them, since its ancestors
-    have them too.  A root's versions reach the union of their bitsets.
+    keeps the bitset of roots its descendants have, folded over pass 1's
+    depth-first finish order and kept exact per repair: each chain node
+    gains the roots after it, and the chain's start and its ancestors gain
+    the chain's roots, the walk up stopping at any node that already has
+    them, since its ancestors have them too.  A root's versions reach the
+    union of their bitsets.
 
     When pass 1 finds no back edge and no input node is a version copy,
     the function returns right after it, with the input's edges collapsed
@@ -513,26 +514,30 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     """
     adj = g.adjacency()
     order = sorted(adj)
-    color = {u: 0 for u in order}  # 0 white, 1 on stack, 2 done
+    # iterator frames, as in _sccs: a node's successors are tried in order
+    # and the walk resumes after the one it descended into
+    on_stack: dict[int, bool] = {}  # True while on the stack, False once finished
+    finished: list[int] = []  # every edge but a back edge points to an earlier node
     back_edges: list[tuple[int, int]] = []
-    for root in order:
-        if color[root]:
+    for start in order:
+        if start in on_stack:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            u, i = stack[-1]
-            if i < len(adj[u]):
-                stack[-1] = (u, i + 1)
-                v = adj[u][i]
-                if color[v] == 0:
-                    color[v] = 1
-                    stack.append((v, 0))
-                elif color[v] == 1:
+        on_stack[start] = True
+        work = [(start, iter(adj[start]))]
+        while work:
+            u, succ = work[-1]
+            for v in succ:
+                state = on_stack.get(v)
+                if state is None:
+                    on_stack[v] = True
+                    work.append((v, iter(adj[v])))
+                    break
+                if state:
                     back_edges.append((u, v))
             else:
-                color[u] = 2
-                stack.pop()
+                work.pop()
+                on_stack[u] = False
+                finished.append(u)
 
     if not back_edges and all(n.origin is None for n in g.nodes):
         ids = set(adj)
@@ -568,12 +573,13 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
 
     # Pass 2: restore reachable pairs the redirects may have broken.
     # below[u] is a bitset of the roots of u's descendants; reach[r] is the
-    # union of below over the versions of root r.  Pass 1 left a DAG, so
-    # every component is one node, sinks first.
+    # union of below over the versions of root r.  It is folded over pass
+    # 1's copies, which have no out-edges, then over its finish order,
+    # which puts every head of a kept edge before its tail.
     preds = _reverse(out)
-    below: dict[int, int] = {}
+    below = {n.id: 0 for n in nodes[len(g.nodes):]}
     reach = dict.fromkeys(adj, 0)
-    for (u,) in _sccs(out):
+    for u in finished:
         bits = 0
         for v in out[u]:
             bits |= below[v] | 1 << root[v]
@@ -634,7 +640,7 @@ def to_ifg(g: RawLogGraph) -> Ifg:
     old_ids = sorted(n.id for n in g.nodes)
     remap = {old: new for new, old in enumerate(old_ids)}
     nodes = [
-        replace(n, id=remap[n.id])
+        IfgNode(remap[n.id], n.kind, n.label, n.origin)
         for n in sorted(g.nodes, key=lambda n: n.id)
     ]
     edges = {(remap[u], remap[v]) for (u, v) in g.edges}

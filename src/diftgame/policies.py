@@ -14,6 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 
 import numpy as np
 
@@ -132,8 +133,12 @@ def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
     order); the loop's ``0.0 + hi`` and ``/ 1`` are exact and dropped (a
     signed zero of ``0.0 + hi`` is lost in the ``- mass`` that follows, as
     mass > 0); theta is the last t whose test ``u - t > 0`` holds.  A row
-    with no threshold, from NaN or inf entries or from magnitudes where
-    ``hi - mass`` rounds to ``hi``, raises as the loop does."""
+    with no threshold, from magnitudes where ``hi - mass`` rounds to
+    ``hi``, raises as the loop does.  So does every row holding NaN or
+    inf, though a test can pass on one (the loop alone took ``[1.0, nan]``
+    to ``[1.0, nan]``): on two entries a NaN ``lo - t`` gives it away, and
+    in the loop a sum ``acc`` that is not finite sends the row through
+    one ``isfinite`` pass, which only an overflowing finite row survives."""
     n = len(v)
     if floor < 0 or floor * n >= 1.0:
         raise ValueError(f"floor {floor} infeasible for {n} actions")
@@ -148,9 +153,10 @@ def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
         t = hi - mass
         theta = t if hi - t > 0 else None
         t = (hi + lo - mass) / 2
-        if lo - t > 0:
+        gap = lo - t
+        if gap > 0:
             theta = t
-        elif theta is None:
+        elif theta is None or gap != gap:  # NaN: lo is NaN or -inf
             raise ValueError(f"no simplex threshold for {v}")
         return [
             floor + (0.0 if (d := a - theta) <= 0.0 else d),
@@ -164,7 +170,9 @@ def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
         t = (acc - mass) / i
         if u - t > 0:
             rho, theta = i, t
-    if not rho:
+    # acc sums w: a NaN or inf entry leaves it NaN or inf; a finite one
+    # can too, by overflow, so only then are the entries tested
+    if not rho or acc - acc != 0 and not all(map(isfinite, w)):
         raise ValueError(f"no simplex threshold for {v}")
     return [floor + (0.0 if (d := x - theta) <= 0.0 else d) for x in w]
 

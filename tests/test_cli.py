@@ -11,7 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from diftgame.cli import _game_from_config, main
 from diftgame.game import FnRates, RewardParams, build_game
-from diftgame.ifg import Ifg, IfgNode, load_graph, save_graph
+from diftgame.ifg import (
+    Ifg,
+    IfgNode,
+    collapse_multi_edges,
+    generate_synthetic,
+    load_graph,
+    merge_directory_nodes,
+    prune_attack_subgraph,
+    remove_cycles_by_versioning,
+    save_graph,
+    to_ifg,
+)
 from diftgame.policies import load_policy, policy_from_json, policy_to_json, save_policy, uniform_policy
 
 
@@ -200,6 +211,115 @@ class TestPrune:
         rc = main(["prune", "--in", str(src), "--out", str(tmp_path / "o.json")])
         assert rc == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+
+    @staticmethod
+    def graph_file(tmp_path, edges):
+        graph = {
+            "nodes": [{"id": i, "kind": "process", "label": f"p{i}"} for i in range(4)],
+            "edges": edges,
+            "entries": [0],
+            "destinations": [[3]],
+        }
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(graph))
+        return src
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (5, "bad edge entry 5"),
+            ({"a": 1}, "bad edge entry {'a': 1}"),
+            ([0, 1, 2], "bad edge entry [0, 1, 2]"),
+            ([0, True], "'edges': node id True is not an integer"),
+            ([0, 1.0], "'edges': node id 1.0 is not an integer"),
+            ([0, "1"], "'edges': node id '1' is not an integer"),
+            ([-1, 1], "edge (-1,1) references unknown node"),
+            ([0, 4], "edge (0,4) references unknown node"),
+        ],
+        ids=["int", "object", "length-3", "true", "float", "string", "negative", "node-count"],
+    )
+    @pytest.mark.parametrize("loop", [[], [[2, 2]]], ids=["", "after-loop"])
+    def test_bad_edge_exit_2_with_its_message(self, tmp_path, capsys, edge, message, loop):
+        # the first bad entry is named, past good edges and a self-loop
+        src = self.graph_file(tmp_path, [*loop, [0, 1], edge, [1, 2], [2, 3]])
+        rc = main(["prune", "--in", str(src), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("loops", [[[1, 1]], [[0, 0], [3, 3], [0, 0]]], ids=["1", "3"])
+    def test_self_loops_dropped_with_their_count(self, tmp_path, caplog, loops):
+        clean = self.graph_file(tmp_path, [[0, 1], [1, 2], [2, 3]])
+        save_graph(load_graph(str(clean)), str(tmp_path / "clean.json"))
+        src = self.graph_file(tmp_path, [[0, 1], *loops, [1, 2], [2, 3]])
+        out = tmp_path / "o.json"
+        assert main(["prune", "--in", str(src), "--out", str(out)]) == 0
+        assert caplog.messages == [f"dropped {len(loops)} self-loop(s) while loading {src}"]
+        assert out.read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+
+def _composed_prune(path: str, merges: dict[str, str]) -> Ifg:
+    """``diftgame prune`` as the composition of its stages, with the second
+    prune always run: to_ifg(prune(version(merge(prune(collapse(load))))))."""
+    g = collapse_multi_edges(load_graph(path))
+    g = prune_attack_subgraph(g, g.entries, g.destinations)
+    if merges:
+        g = merge_directory_nodes(g, merges)
+    g = remove_cycles_by_versioning(g)
+    return to_ifg(prune_attack_subgraph(g, g.entries, g.destinations))
+
+
+def _cyclic_graph(seed: int) -> dict:
+    """A raw multigraph of 6-28 nodes: an entry-to-target spine plus n..3n
+    random edges, so parallel edges, self-loops and cycles all occur.  Two
+    stage targets sit on the spine; other file nodes live under /var/log/.
+    Seed 0's pruned graph is acyclic, the others get version copies, and
+    from seed 4 on a /var/log/ merge folds nodes together."""
+    rng = np.random.default_rng(seed)
+    n = 6 + 2 * seed
+    spine = rng.permutation(n)[: max(3, n // 2)].tolist()
+    entry, mid, last = spine[0], spine[len(spine) // 2], spine[-1]
+    nodes = []
+    for i in range(n):
+        kind = ("process", "file", "socket")[i % 3]
+        in_dir = kind == "file" and i not in (entry, mid, last)
+        label = f"/var/log/app/{i}.log" if in_dir else f"{kind}:{i}"
+        nodes.append({"id": i, "kind": kind, "label": label})
+    extra = rng.integers(n, size=(rng.integers(n, 3 * n), 2))
+    edges = [*map(list, zip(spine, spine[1:])), *extra.tolist()]
+    return {"nodes": nodes, "edges": edges, "entries": [entry], "destinations": [[mid], [last]]}
+
+
+class TestPruneMatchesComposition:
+    """``diftgame prune`` skips the second prune when versioning made no
+    copy; its file must still be the composition's, byte for byte."""
+
+    def check(self, tmp_path, src, merges=None):
+        out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+        argv = ["prune", "--in", str(src), "--out", str(out)]
+        for prefix, label in (merges or {}).items():
+            argv += ["--merge", f"{prefix}={label}"]
+        assert main(argv) == 0
+        save_graph(_composed_prune(str(src), merges), str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_synthetic_160_nodes(self, tmp_path):
+        src = tmp_path / "raw.json"
+        save_graph(generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), str(src))
+        self.check(tmp_path, src)
+
+    def test_criterion5_fixture(self, tmp_path):
+        src = tmp_path / "raw.json"
+        save_graph(_criterion5_ifg(), str(src))
+        self.check(tmp_path, src)
+
+    @pytest.mark.parametrize("merge", [False, True], ids=["plain", "merge"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cyclic_graphs(self, tmp_path, seed, merge):
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(_cyclic_graph(seed)))
+        self.check(tmp_path, src, {"/var/log/": "/var/log/*"} if merge else None)
 
 
 class TestTrain:

@@ -517,6 +517,28 @@ class TestIdTypes:
             assert not path.exists()
 
 
+class TestValidateEdges:
+    """``Ifg.validate`` names the first bad edge: a non-int end, an unknown
+    node or a self-loop."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1, np.int64(2)), f"edge end {np.int64(2)!r} is not a plain int"),
+            ((1, 3), "edge (1,3) references unknown node"),
+            ((-1, 2), "edge (-1,2) references unknown node"),
+            ((1, 1), "self-loop at node 1"),
+        ],
+        ids=["int64", "node-count", "negative", "self-loop"],
+    )
+    def test_bad_edge_named(self, bad, message):
+        nodes = [IfgNode(i, "process", f"n{i}") for i in range(3)]
+        g = Ifg(nodes, {(0, 1), bad, (0, 2)}, {0}, [{2}])
+        with pytest.raises(GraphLoadError) as err:
+            g.validate()
+        assert str(err.value) == message
+
+
 class TestToIfg:
     def test_dense_reindex_after_prune(self):
         g = raw(5, [(0, 2), (2, 4)])

@@ -20,7 +20,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from diftgame.game import classify_chain  # noqa: E402
 from diftgame.ifg import (  # noqa: E402
@@ -45,10 +45,12 @@ KINDS = ("process", "file", "socket")
 
 
 @st.composite
-def raw_multigraphs(draw):
+def raw_multigraphs(draw, forward=False):
     """Entry-to-target spine plus arbitrary extra edges: parallel edges,
     self-loops and cycles all occur.  File nodes off the spine's ends live
-    under /m/ so an optional merge can fold them into one node."""
+    under /m/ so an optional merge can fold them into one node.  With
+    ``forward`` every extra edge follows the spine's node order, so the
+    graph is acyclic until a merge folds nodes together."""
     n = draw(st.integers(3, 14))
     order = draw(st.permutations(range(n)))
     spine = order[: draw(st.integers(3, n))]
@@ -59,6 +61,9 @@ def raw_multigraphs(draw):
     ]
     node = st.integers(0, n - 1)
     extra = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if forward:
+        rank = {u: i for i, u in enumerate(order)}
+        extra = [(u, v) for u, v in extra if rank[u] < rank[v]]
     edges = list(zip(spine, spine[1:])) + extra
     return RawLogGraph(nodes, edges, {entry}, [{target}]), draw(st.booleans())
 
@@ -95,6 +100,27 @@ def test_pipeline_acyclic_and_reachability_preserved(case):
     dag.add_nodes_from(range(ifg.n_nodes))
     dag.add_edges_from(ifg.edges)
     assert nx.is_directed_acyclic_graph(dag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(raw_multigraphs(), raw_multigraphs(forward=True)))
+def test_second_prune_changes_nothing_without_version_copies(case):
+    # diftgame prune runs its second prune only when versioning made a copy
+    raw, merge = case
+    g = collapse_multi_edges(raw)
+    g = prune_attack_subgraph(g, g.entries, g.destinations)
+    if merge:
+        g = merge_directory_nodes(g, {"/m/": "/m"})
+    versioned = remove_cycles_by_versioning(g)
+    copies = len(versioned.nodes) > len(g.nodes)
+    event("version copies" if copies else "no copy")
+    if copies:
+        return
+    again = prune_attack_subgraph(versioned, versioned.entries, versioned.destinations)
+    assert again.nodes == versioned.nodes
+    assert again.edges == versioned.edges
+    assert again.entries == versioned.entries
+    assert again.destinations == versioned.destinations
 
 
 # quotes, backslashes, control characters, non-ASCII, a lone surrogate and

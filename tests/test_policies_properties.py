@@ -2,12 +2,13 @@
 policy file format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from diftgame import training  # noqa: E402
 from diftgame.game import FnRates, RewardParams, build_game  # noqa: E402
@@ -146,13 +147,48 @@ def rows_off_the_domain(draw):
     return v, floor
 
 
+def finite_loop_projection(v: list[float], floor: float) -> list[float]:
+    """The loop, with every row that holds NaN or inf raising as a row
+    with no threshold does: an infeasible floor is still reported first."""
+    out = loop_projection(v, floor)
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"no simplex threshold for {v}")
+    return out
+
+
 @settings(max_examples=400, deadline=None)
 @given(rows_off_the_domain())
+@example(([1.0, np.nan], 0.0))
+@example(([0.2, np.nan, 0.3], 0.0))
+@example(([-np.inf, 0.0], 0.0))
+@example(([0.5, -np.inf, 0.2], 1e-3))
 def test_projection_of_non_finite_rows_and_bad_floors_matches_the_loop(case):
     # an infeasible floor raises, and a row with no threshold raises, as
-    # the loop does; the loop also returns some rows with NaN or inf
-    # entries (for example [1.0, nan] gives [1.0, nan]), and so must the
-    # 2-entry path
+    # the loop does; so does every row holding NaN or inf, which the loop
+    # alone does not always do ([1.0, nan] gave [1.0, nan], [-inf, 0.0]
+    # gave [0.0, 1.0]), on the 2-entry path and the loop alike
+    v, floor = case
+    got = outcome(training.project_simplex, v, floor)
+    assert got == outcome(finite_loop_projection, v, floor)
+    if not all(map(math.isfinite, v)):
+        assert isinstance(got, str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n),
+            st.one_of(st.just(0.0), st.floats(0.0, 0.999 / n)),
+        )
+    )
+)
+@example(([1.7e308, -1.7e308], 0.0))
+@example(([1.7e308, 1.7e308, -1e308], 0.0))
+@example(([1e308, 1e308, 1.0, 0.5], 0.0))
+def test_finite_rows_of_any_magnitude_keep_the_loop_outcome(case):
+    # the finiteness check must not touch a finite row, even one whose
+    # sum overflows
     v, floor = case
     assert outcome(training.project_simplex, v, floor) == outcome(loop_projection, v, floor)
 

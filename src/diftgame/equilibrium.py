@@ -15,9 +15,11 @@ transition matrix (:meth:`Game.induced_chain`), checks its classes with
 average payoff (gain) and the bias vector together.  Its residual, checked
 against 1e-9, guards the unichain structure.  The slack of those equations
 is one vector per player, an entry per (state, own action) row in the order
-of the player's ``Policy.flat``; phi, Delta and min_omega reduce it over
-all rows.  Only :func:`omega`, :func:`exact_gradient` and
-:func:`best_response` return per-state tables; :class:`Residuals` holds none.
+of the player's ``Policy.flat``.  One routine, ``_pair_slack``, computes it
+for every oracle, at an evaluation it is given or at one it makes; phi,
+Delta and min_omega reduce it over all rows.  Only :func:`omega` (own
+payoffs), :func:`exact_gradient` (summed payoffs) and :func:`best_response`
+return per-state tables; :class:`Residuals` holds none.
 
 No other oracle needs a matrix.  The game graph without its edges into
 the root is acyclic (the restart DAG), so a row weighting is evaluated
@@ -30,9 +32,9 @@ oracles take these routes:
 * :func:`compare_defenses`: one per payoff and defender, against one
   marginal of the learned intruder.
 * :func:`exact_gradient`, :func:`omega`, :func:`residuals` and
-  :func:`td_errors`, when they evaluate the pair themselves: one per payoff
-  against one marginal of the intruder, whose lookahead also gives the
-  defender's slack rows.  The evaluation is linear in the payoff, so
+  :func:`td_errors`, when ``_pair_slack`` evaluates the pair for them: one
+  per payoff against one marginal of the intruder, whose lookahead also
+  gives the defender's slack rows.  The evaluation is linear in the payoff, so
   :func:`exact_gradient` makes one, of both players' summed payoff.  Given
   an evaluation, they use it instead.
 * :func:`evaluate_policy_pair`, and so :func:`certify_arne`: the dense
@@ -153,65 +155,45 @@ def evaluate_policy_pair(game: Game, pi: PolicyPair) -> EvalResult:
     return EvalResult(float(gain[0]), float(gain[1]), v_d, v_a, resid, C)
 
 
-def _slack(
-    game: Game, pi: PolicyPair, rho: tuple, v: tuple, own: bool = True, lookahead_d: tuple = ()
-) -> dict:
-    """Evaluation-equation slack per player, one entry per row of its
-    marginal in the order of its ``Policy.flat``: rho[k] + v[k](s) minus the
-    expected (payoff + next v[k]) when k plays the row at its state s against
-    the opponent's mixture.  The payoff is k's own, or with ``own`` false
-    both players' summed.  ``lookahead_d``, when given, is the defender's
-    marginal and that expectation q per row, as :func:`_restart_eval`
-    computed them."""
-    out = {}
-    for k, (player, opp) in enumerate((("D", pi.a), ("A", pi.d))):
-        if player == "D" and lookahead_d:
-            m, q = lookahead_d
-            vec = rho[k] + v[k][m.state] - q
-        else:
-            m = game.marginalize(opp, player)
-            pay = m.r[k] if own else m.r.sum(axis=0)
-            vec = rho[k] + v[k][m.state] - pay - m.expect(v[k])
-        out[player] = vec
-    return out
-
-
-def _exact_slack(game: Game, pi: PolicyPair, own: bool = True) -> dict:
-    """:func:`_slack` at the pair's exact evaluation, made on the restart
-    DAG: no matrix, class split or linear solve.
-
-    One marginal of the intruder serves one :func:`_restart_eval` per
-    payoff, or one of both players' summed payoff with ``own`` false; the
-    evaluation is linear in the payoff, so that gives the summed gain and
-    bias.  The lookahead of the first payoff then gives the defender's slack
-    rows."""
-    m = game.marginalize(pi.a, "D")
-    pays = m.r if own else (m.r[0] + m.r[1],)
-    evals = [_restart_eval(m, pi.d.flat, pay) for pay in pays]
-    (rho_d, v_d, q), (rho_a, v_a, _) = evals if own else evals * 2
-    return _slack(game, pi, (rho_d, rho_a), (v_d, v_a), own, (m, q))
-
-
 def _pair_slack(game: Game, pi: PolicyPair, ev=None, own: bool = True) -> dict:
-    """Validate ``pi``, then take its :func:`_slack` at ``ev``: an
-    :class:`EvalResult`, the iterates ``(rho, v)`` as :func:`td_errors`
-    takes them, or ``None`` for the exact evaluation (:func:`_exact_slack`).
-    With ``own`` false the gains and biases are summed, as the payoffs are."""
+    """Validate ``pi``, then take the evaluation-equation slack of each
+    player k, one entry per row of its marginal in ``Policy.flat`` order:
+    rho[k] + v[k](s) minus the expected (payoff + next v[k]) when k plays the
+    row at its state s against the opponent's mixture.  With ``own`` false
+    the payoffs, gains and biases are both players' summed.
+
+    ``(rho, v)`` is read off ``ev``: an :class:`EvalResult`, the iterates as
+    :func:`td_errors` takes them, or ``None`` for the exact evaluation on the
+    restart DAG.  That takes one marginal of the intruder and one
+    :func:`_restart_eval` per payoff (one of the summed payoff: evaluation is
+    linear in it), whose first lookahead gives the defender's slack rows."""
     pi.validate(game)
+    m = game.marginalize(pi.a, "D")
     if ev is None:
-        return _exact_slack(game, pi, own)
-    rho, v = ((ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a)) if isinstance(ev, EvalResult) else ev
-    if not own:
-        rho, v = (rho[0] + rho[1],) * 2, (v[0] + v[1],) * 2
-    return _slack(game, pi, rho, v, own)
+        pays = m.r if own else (m.r[0] + m.r[1],)
+        evals = [_restart_eval(m, pi.d.flat, pay) for pay in pays]
+        (rho_d, v_d, q), (rho_a, v_a, _) = evals if own else evals * 2
+        rho, v = (rho_d, rho_a), (v_d, v_a)
+    else:
+        rho, v = ((ev.rho_d, ev.rho_a), (ev.v_d, ev.v_a)) if isinstance(ev, EvalResult) else ev
+        if not own:
+            rho, v = (rho[0] + rho[1],) * 2, (v[0] + v[1],) * 2
+
+    def slack(k: int, mk: Marginal) -> np.ndarray:
+        pay = mk.r[k] if own else mk.r.sum(axis=0)
+        return rho[k] + v[k][mk.state] - pay - mk.expect(v[k])
+
+    return {"D": rho[0] + v[0][m.state] - q if ev is None else slack(0, m),
+            "A": slack(1, game.marginalize(pi.d, "A"))}
 
 
-def _rows(first: np.ndarray, vec: np.ndarray) -> list[np.ndarray]:
-    """Per-state tables of a per-row vector; state s owns rows first[s]:first[s + 1]."""
-    return [vec[i:j] for i, j in itertools.pairwise(first.tolist())]
+def _tables(game: Game, pi: PolicyPair, ev: EvalResult | None, own: bool) -> OmegaTable:
+    """Per-state tables of :func:`_pair_slack`; state s owns rows first[s]:first[s + 1]."""
+    return {k: [vec[i:j] for i, j in itertools.pairwise(game.frames[k][0].first.tolist())]
+            for k, vec in _pair_slack(game, pi, ev, own).items()}
 
 
-def _phis(game: Game, pi: PolicyPair, slack: dict[str, np.ndarray]) -> list[float]:
+def _phis(pi: PolicyPair, slack: dict[str, np.ndarray]) -> list[float]:
     """Policy-weighted slack sums (phi_D, phi_A)."""
     return [float(pol.flat @ slack[k]) for k, pol in (("D", pi.d), ("A", pi.a))]
 
@@ -224,14 +206,13 @@ def omega(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> OmegaTabl
     evaluation the policy-weighted slack vanishes state by state, and at an
     equilibrium no entry is meaningfully negative.
     """
-    slack = _pair_slack(game, pi, ev)
-    return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
+    return _tables(game, pi, ev, own=True)
 
 
 def delta(game: Game, pi: PolicyPair, om: OmegaTable) -> float:
     """Policy-weighted aggregate of all residuals (zero at exact evaluation)."""
     pi.validate(game)
-    return sum(_phis(game, pi, {k: np.concatenate(om[k]) for k in ("D", "A")}))
+    return sum(_phis(pi, {k: np.concatenate(om[k]) for k in ("D", "A")}))
 
 
 def td_errors(
@@ -250,8 +231,7 @@ def td_errors(
     """
     if (rho is None) != (v is None):
         raise ValueError("pass both rho and v, or neither")
-    slack = _pair_slack(game, pi, None if rho is None else (rho, v))
-    phi_d, phi_a = _phis(game, pi, slack)
+    phi_d, phi_a = _phis(pi, _pair_slack(game, pi, None if rho is None else (rho, v)))
     return phi_d, phi_a, phi_d + phi_a
 
 
@@ -264,8 +244,7 @@ def exact_gradient(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> 
     marginalized.  Slack is linear in payoff, gain and bias, so that sum is
     the slack of the summed payoffs against the summed gains and biases.
     """
-    slack = _pair_slack(game, pi, ev, own=False)
-    return {k: _rows(game.frames[k][0].first, vec) for k, vec in slack.items()}
+    return _tables(game, pi, ev, own=False)
 
 
 def _restart_eval(m: Marginal, w: np.ndarray, pay: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -324,7 +303,7 @@ def best_response(game: Game, opponent: Policy, player: str) -> tuple[Policy, fl
 
 def residuals(game: Game, pi: PolicyPair, ev: EvalResult | None = None) -> Residuals:
     slack = _pair_slack(game, pi, ev)
-    phi_d, phi_a = _phis(game, pi, slack)
+    phi_d, phi_a = _phis(pi, slack)
     min_om = min(float(vec.min()) for vec in slack.values())
     return Residuals(phi_d + phi_a, phi_d, phi_a, phi_d + phi_a, min_om)
 

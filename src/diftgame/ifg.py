@@ -400,17 +400,18 @@ def merge_directory_nodes(g: RawLogGraph, groups: dict[str, str]) -> RawLogGraph
         return None
 
     members: dict[str, list[int]] = {}
+    new_nodes = []
     for n in g.nodes:
         p = group_of(n)
-        if p is not None:
+        if p is None:
+            new_nodes.append(n)
+        else:
             members.setdefault(p, []).append(n.id)
-    members = {p: ids for p, ids in members.items() if ids}
     if not members:
         return replace(g, edges=list(g.edges))
 
     next_id = max(n.id for n in g.nodes) + 1
     remap: dict[int, int] = {}
-    new_nodes = [n for n in g.nodes if group_of(n) is None]
     for p in sorted(members):
         merged = IfgNode(next_id, "file", groups[p])
         new_nodes.append(merged)
@@ -502,12 +503,14 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     them, since its ancestors have them too.  A root's versions reach the
     union of their bitsets.
 
-    When pass 1 finds no back edge and no input node is a version copy,
-    the function returns right after it, with the input's edges collapsed
-    and sorted and its roles kept.  Pass 2 could add nothing there: ``out``
-    would equal the input's adjacency and every node would be its own root,
-    so each ``reach[x]`` would equal ``closure[x]`` and no pair would be
-    missing.  Input with version copies always runs pass 2.
+    Every input node is its own root, a version copy included, so the
+    function accepts its own output.  A new copy's ``origin`` is its input
+    node's ``origin`` when that is set, else the input node's id: it still
+    names the raw node.  When pass 1 finds no back edge, the function
+    returns right after it, with the input's edges collapsed and sorted and
+    its roles kept.  Pass 2 could add nothing there: ``out`` would equal the
+    input's adjacency, so each ``reach[x]`` would equal ``closure[x]`` and
+    no pair would be missing.
 
     Entries and destination sets are extended with the versions of their
     members: a version copy stands for the same system entity.
@@ -539,7 +542,7 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
                 on_stack[u] = False
                 finished.append(u)
 
-    if not back_edges and all(n.origin is None for n in g.nodes):
+    if not back_edges:
         ids = set(adj)
         edges = [(u, v) for u in order for v in adj[u]]
         destinations = [ids.intersection(d) for d in g.destinations]
@@ -553,14 +556,15 @@ def remove_cycles_by_versioning(g: RawLogGraph) -> RawLogGraph:
     version_count: dict[int, int] = {}
     nodes = list(g.nodes)
     out: dict[int, set[int]] = {u: set(vs) for u, vs in adj.items()}
-    root = {n.id: n.origin if n.origin is not None else n.id for n in g.nodes}
+    root = {n.id: n.id for n in g.nodes}
 
     def new_version(orig: int) -> int:
         nonlocal next_id
         base = by_id[orig]
         k = version_count.get(orig, 0) + 1
         version_count[orig] = k
-        node = IfgNode(next_id, base.kind, f"{base.label}#{k}", origin=root[orig])
+        origin = orig if base.origin is None else base.origin
+        node = IfgNode(next_id, base.kind, f"{base.label}#{k}", origin=origin)
         nodes.append(node)
         root[node.id] = root[orig]
         out[node.id] = set()
@@ -667,7 +671,11 @@ def generate_synthetic(
     Nodes are laid out in topological order: entry sources first, then one
     block per stage whose last nodes are that stage's targets.  Random
     forward edges are drawn at ``edge_density`` and a minimal set of repair
-    edges guarantees every node sits on a qualifying flow path.
+    edges guarantees every node sits on a qualifying flow path: every edge
+    points to a higher id, every block node gets an in-edge from an earlier
+    node of its block or from the previous stage's sources, and every
+    non-target node an out-edge to a later node of its block.  So one draw
+    always qualifies; the final ``validate`` raises if that ever breaks.
     """
     dests = tuple(dests_per_stage)
     if stages != len(dests):
@@ -680,38 +688,22 @@ def generate_synthetic(
         raise InfeasibleGraphError("edge_density must be in (0, 1]")
 
     rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        ifg = _synthetic_attempt(n_nodes, stages, n_entries, dests, edge_density, rng)
-        if ifg is not None:
-            return ifg
-    raise InfeasibleGraphError("could not realize constraints in 1000 attempts")
-
-
-def _synthetic_attempt(
-    n_nodes: int,
-    stages: int,
-    n_entries: int,
-    dests: tuple[int, ...],
-    density: float,
-    rng: np.random.Generator,
-) -> Ifg | None:
-    ne = n_entries
-    spare = n_nodes - ne - sum(dests)
+    spare = n_nodes - n_entries - sum(dests)
     extra = rng.multinomial(spare, np.full(stages, 1.0 / stages))
     sizes = [dests[j] + int(extra[j]) for j in range(stages)]
 
     blocks: list[list[int]] = []
-    pos = ne
+    pos = n_entries
     for j in range(stages):
         blocks.append(list(range(pos, pos + sizes[j])))
         pos += sizes[j]
-    entries = set(range(ne))
+    entries = set(range(n_entries))
     destinations = [set(blocks[j][-dests[j]:]) for j in range(stages)]
 
     edges: set[tuple[int, int]] = set()
     for i in range(n_nodes):
-        for k in range(max(i + 1, ne), n_nodes):
-            if rng.random() < density:
+        for k in range(max(i + 1, n_entries), n_nodes):
+            if rng.random() < edge_density:
                 edges.add((i, k))
 
     def has_out_into(u: int, pool: list[int]) -> bool:
@@ -746,9 +738,6 @@ def _synthetic_attempt(
             kind = str(rng.choice(["process", "file", "other"]))
             nodes.append(IfgNode(i, kind, f"{kind[:4]}{i}"))
 
-    try:
-        ifg = Ifg(nodes, edges, entries, destinations)
-        ifg.validate()
-    except (GraphLoadError, InfeasibleGraphError):
-        return None
+    ifg = Ifg(nodes, edges, entries, destinations)
+    ifg.validate()
     return ifg

@@ -6,7 +6,9 @@ intrusion is s0 -> entry -> target -> s0 (length 3), and the gain is cycle
 payoff divided by cycle length.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -691,3 +693,108 @@ class TestCompareDefenses:
         pair = random_pair(synth, 12)
         with pytest.raises(ValueError, match="defender's then the intruder's"):
             compare_defenses(synth, PolicyPair(pair.a, pair.d))
+
+
+def oracle_outputs(game, pair):
+    """The bytes of every slack-reading oracle on ``pair``: exact, at the
+    dense evaluation, and (``td_errors``) at fixed iterates."""
+    ev = evaluate_policy_pair(game, pair)
+    rng = np.random.default_rng([game.n_states, 3])
+    rho, v = tuple(rng.normal(size=2)), tuple(rng.normal(size=(2, game.n_states)))
+
+    def tables(om):
+        return np.concatenate(om["D"] + om["A"]).tobytes()
+
+    def floats(xs):
+        return np.asarray(xs, dtype=float).tobytes()
+
+    om = omega(game, pair)
+    res, res_ev = residuals(game, pair), residuals(game, pair, ev)
+    return {
+        "omega": tables(om),
+        "omega_ev": tables(omega(game, pair, ev)),
+        "exact_gradient": tables(exact_gradient(game, pair)),
+        "exact_gradient_ev": tables(exact_gradient(game, pair, ev)),
+        "residuals": floats([res.delta, res.phi_d, res.phi_a, res.phi_t, res.min_omega]),
+        "residuals_ev": floats(
+            [res_ev.delta, res_ev.phi_d, res_ev.phi_a, res_ev.phi_t, res_ev.min_omega]),
+        "td_errors": floats(td_errors(game, pair)),
+        "td_errors_iterates": floats(td_errors(game, pair, rho, v)),
+        "delta": floats([delta(game, pair, om)]),
+        "certify_arne": json.dumps(certify_arne(game, pair, 1e-3).to_json()).encode(),
+        "compare_defenses": json.dumps(compare_defenses(game, pair)).encode(),
+    }
+
+
+def synthetic_160():
+    return build_game(
+        generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+    )
+
+
+# sha256 of each oracle's output on a seeded Dirichlet pair, recorded before
+# the slack helpers were folded into one routine: every oracle output keeps
+# its bits through a refactor of how the slack is computed.
+ORACLE_GOLDEN = {
+    ("fixture", 1): {
+        "omega": "2e668073ba10da44b815d81e01e1a0eaeeca3f4867be52053765844b2686c95f",
+        "omega_ev": "e5b266e7afe062972755fd34ad3971d523ed08908776b5321ade584b8f8d6686",
+        "exact_gradient": "9af50df003d28004390aa178ea41c4a06802bfa2c231c4f30454763368b9d715",
+        "exact_gradient_ev": "c498c42b71ae996e3150c3c2bcd8cc8045b89ccbb9f09613a1426e11c5663086",
+        "residuals": "4be6a9f9674394b845dfb42bdf0d7cc6e9226c269a4d95640e55f9ff3fa3c6c4",
+        "residuals_ev": "9f0795a10547c60bc869c316da9ee4cc0e0e7b2bca7ac36039abb3f316152f50",
+        "td_errors": "ef6355abf34dc489124c88ac10d13b071f7295c6ec3b017118ff50a7daac376d",
+        "td_errors_iterates": "4d1d0ea10f9616e8e66719e8fabe656b589c3df055f5905b923a73d57533ef24",
+        "delta": "f60ee7cadadcbb25c0364c0c5d4f1f4fd851849e2731d6bb6ea8cecf175a396f",
+        "certify_arne": "127ccd98e4974f8626fb6e445cb5257bc0bb4f1564eeed931728d892f00898e7",
+        "compare_defenses": "a0e349632ad721ec053827e15bc9e83af4197e27de3a0fa26306f0f2faf2f97d",
+    },
+    ("fixture", 2): {
+        "omega": "8309d5d214053f192fe581d28eba42edc65ab7bc868bfe27b0bc0ad1a1bc0116",
+        "omega_ev": "e9c5504145b9536e7640fbe1866d9cacd311d402a5e55816b1ef19dc853179ee",
+        "exact_gradient": "47104f8381ccde03230a4eac4e35b7eb84989dab426d135eaa353915fd72160b",
+        "exact_gradient_ev": "a450db7bc1edb52cd4b7c42903bc618bfbb64a949f8ee414a2c193d49926e9f4",
+        "residuals": "8a0bc3f59471c2f7db25204d60d531519f33fbbb9416248b1c21e713d76e1cbf",
+        "residuals_ev": "e06473f1f41887aaccfe765f5fa984326823d42e7059558d6e2cd46fe4d89c69",
+        "td_errors": "b4de590415d28458ea868fe7a8ea8cbb1a1aead92dcc1046007cde9ff2fefcf5",
+        "td_errors_iterates": "8268e230b15128cdc48798f3c7641adf80e13bdeb27a2d7927de0efc47fcabac",
+        "delta": "5a8dcd336412bc1f098f4e9711cafe50241f0210833cfda3ba3cd881986e01af",
+        "certify_arne": "49d82a2a9e103df5e99b450b19688dd9d88e10a9813ef04724affbecbfabd494",
+        "compare_defenses": "a4f6ea7d3cf2ea0272016a0a546ee7d41544a3946a0ee79d271d622576db7b92",
+    },
+    ("synthetic-160", 1): {
+        "omega": "ab942da32f219c4e8c28d922c593a697e55b58c4b378bfcc59539b305231cce7",
+        "omega_ev": "74bb3dfa90d692cea78cf31b66ba499ee0e9568d4c6ca68b78f7a6ff40ca4c41",
+        "exact_gradient": "a7926da153701a8715d6c3eab914d208f67daf3e65cf611b04ae152b082a80f6",
+        "exact_gradient_ev": "8d71fe6d9c17f94f18ee144d2cada3dcf96cf4d631ad8f5d77b398376f596bb8",
+        "residuals": "f18f0bd32d2fc4e06e492a512b9dc5159366b7845b6b0cd20bb880a272929ebc",
+        "residuals_ev": "c4c19d9fc62224a3a78617cb0aa2c1099788ee240f67485fa10e94b2b84242e1",
+        "td_errors": "46deb0543b96b7c2f43be690e32b719db007c7011bb136a702829e438efc4624",
+        "td_errors_iterates": "96319e9d576d6cae05ffc6ade1e2aa5bb90c02b26df5a186a8c08006b3d564ac",
+        "delta": "99e6d0bbd90b4989cb752d4c3f48cf71555bd923a8f7cb8e3048d168c037f876",
+        "certify_arne": "1b0848e61d994d785b4f5489cd6a77adf841234c511cbec194a42a32eec55122",
+        "compare_defenses": "1dcd5ab3ea648330c446a6f5a3c02648f5477a832c9ccbfe611cf43dbcb3eef2",
+    },
+    ("synthetic-160", 2): {
+        "omega": "bf4862194ee528daae04d2a7054d36cc106744f3e7665d2f8ae6407f41c9f885",
+        "omega_ev": "083620bc3f92548fa8d43429cd41f40bdaea929f9a1454a81e994a4f909c1bcc",
+        "exact_gradient": "fb26d689dee14fe1815671a7575ad4766ed0f3a03ae30b8ad8106203c7da094e",
+        "exact_gradient_ev": "a8e8d02a5951f1fe12ccb0dcf8a0323c27120a0a27a89fb06fdf365e75e483eb",
+        "residuals": "065b50070d14aa763338a773a03477b5d86c495c220aef00125cd81c9311f07a",
+        "residuals_ev": "d1617f3c3dc3289d02a9d6f00c4e169fca0fbd8e0cb82799f5c330f4ff747f25",
+        "td_errors": "55eb7ad29d0d06c270f4fbe7ea2ffe231270d5a8ecc8cb15acaf8cc3977553d7",
+        "td_errors_iterates": "9b19b50b6164748dd54357010b92c92b641b81a185faef2f24ff5d9d9b934708",
+        "delta": "59729d46a88ee1b6471d3c25073fa48c3a3e973b119c2c66deb50c590642c0fd",
+        "certify_arne": "86410d059d75759e667c0c7cbcc3cda351d1019e76f4fa3dc0391138e93d894f",
+        "compare_defenses": "c85609e88707221218a971597207024b1942de5571aa986a1c957707357f8d8f",
+    },
+}
+
+
+@pytest.mark.parametrize("name, build", [("fixture", fixture_game), ("synthetic-160", synthetic_160)])
+def test_oracle_outputs_golden(name, build):
+    game = build()
+    for seed in (1, 2):
+        got = oracle_outputs(game, dirichlet_pair(game, seed))
+        digests = {k: hashlib.sha256(b).hexdigest() for k, b in got.items()}
+        assert digests == ORACLE_GOLDEN[name, seed]

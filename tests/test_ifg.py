@@ -442,7 +442,7 @@ def as_raw(g, edges):
 
 
 class TestVersioningAcyclicInput:
-    """Without a back edge or a version copy, versioning returns after pass 1:
+    """Without a back edge, versioning returns after pass 1:
     the input with its edges collapsed and sorted.  Pruned outputs fed back
     are checked in test_ifg_properties.py."""
 
@@ -462,26 +462,71 @@ class TestVersioningAcyclicInput:
         assert out.self_loops_dropped == seed
 
 
-# How remove_cycles_by_versioning(remove_cycles_by_versioning(golden_input(seed)))
-# fails.  The first output is acyclic but full of version copies, so the
-# second call has to run pass 2, which fails there (a copy is a closure
-# target that no root bitset names); a return after pass 1 would hide that.
-VERSIONING_TWICE = {
-    0: "cycle removal failed to restore 0 -> 25",
-    1: "cycle removal failed to restore 0 -> 23",
-    2: "cycle removal failed to restore 2 -> 17",
-    3: "cycle removal failed to restore 0 -> 22",
-}
+def with_extra_edges(g, seed, k=5):
+    """``g`` plus ``k`` random edges between distinct nodes, which may close
+    cycles through its version copies."""
+    rng = np.random.default_rng([seed, k])
+    ids = [n.id for n in g.nodes]
+    extra = []
+    while len(extra) < k:
+        u, v = (ids[int(i)] for i in rng.integers(len(ids), size=2))
+        if u != v:
+            extra.append((u, v))
+    return replace(g, edges=list(g.edges) + extra)
 
 
 class TestVersioningTwice:
-    @pytest.mark.parametrize("seed", sorted(VERSIONING_TWICE))
-    def test_version_copies_keep_pass_two(self, seed):
+    """Versioning accepts its own output: every input node, a version copy
+    included, is its own root, and a new copy's origin still names the raw
+    node."""
+
+    @staticmethod
+    def check_versions_of_input(g, out):
+        """``out`` is acyclic, keeps ``g``'s nodes, and realizes exactly the
+        pairs reachable in ``g`` between versions of its nodes.  A new copy's
+        input node is the one whose label its own extends by ``#k``."""
+        assert assert_acyclic(out)
+        assert out.nodes[: len(g.nodes)] == g.nodes
+        by_label = {n.label: n for n in g.nodes}
+        assert len(by_label) == len(g.nodes)
+        source = {n.id: n.id for n in g.nodes}
+        for n in out.nodes[len(g.nodes):]:
+            base = by_label[n.label.rsplit("#", 1)[0]]
+            assert n.origin == (base.id if base.origin is None else base.origin)
+            source[n.id] = base.id
+
+        def pairs(adj, name):
+            return {
+                (name[u], name[v]) for u in adj for v in bfs(adj, {u}) if name[u] != name[v]
+            }
+
+        adj_in = g.adjacency()
+        assert pairs(out.adjacency(), source) == pairs(adj_in, {u: u for u in adj_in})
+
+    def test_two_cycle_with_a_copy(self):
+        # the 2-cycle's output 0 -> 1 -> n0#1, plus n0#1 -> 1: the cycle
+        # 1 -> n0#1 -> 1 is cut by a copy of 1 whose origin is 1
+        once = remove_cycles_by_versioning(raw(2, [(0, 1), (1, 0)]))
+        g = replace(once, edges=once.edges + [(2, 1)])
+        out = remove_cycles_by_versioning(g)
+        assert [(n.label, n.origin) for n in out.nodes] == [
+            ("n0", None), ("n1", None), ("n0#1", 0), ("n1#1", 1),
+        ]
+        assert sorted(out.edges) == [(0, 1), (1, 2), (2, 3)]
+        self.check_versions_of_input(g, out)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_versioned_golden_inputs(self, seed):
         once = remove_cycles_by_versioning(golden_input(seed))
-        assert assert_acyclic(once) and any(n.origin is not None for n in once.nodes)
-        with pytest.raises(InfeasibleGraphError) as err:
-            remove_cycles_by_versioning(once)
-        assert str(err.value) == VERSIONING_TWICE[seed]
+        assert any(n.origin is not None for n in once.nodes)
+        out = remove_cycles_by_versioning(once)
+        self.check_versions_of_input(once, out)
+        assert (out.nodes, out.edges) == (once.nodes, sorted(once.edges))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cyclic_inputs_with_copies(self, seed):
+        g = with_extra_edges(remove_cycles_by_versioning(golden_input(seed)), seed)
+        self.check_versions_of_input(g, remove_cycles_by_versioning(g))
 
 
 class TestIdTypes:
@@ -555,6 +600,21 @@ class TestToIfg:
             to_ifg(g)
 
 
+# sha256 of save_graph(generate_synthetic(*args)), keyed by args, recorded
+# while generation still retried failed attempts: one attempt always
+# succeeds, so the random stream and the graphs stay the same.
+GOLDEN_SYNTHETIC = {
+    (5, 1, 1, (1,), 1.0, 0): "6b943dd641c7b1b498dc34d2de199e7a11a77f90dbd98f2dc91c01b310bcd409",
+    (10, 3, 2, (1, 1, 1), 0.25, 3): "1b0261608464e0f30ba7dc22eb6a5b99c65ab911f84f070a0ae7b50026ddaece",
+    (12, 4, 1, (1, 1, 1, 1), 0.01, 5): "aea67dfe2ed0371217c7674d091e8af6b172c1308f21fc5eb6d7b1b93e76b18f",
+    (14, 2, 2, (2, 1), 0.2, 3): "453ffa0c045161c3513b6af340e4718457f2a8f212643cfd83859bd46b7d6a43",
+    (18, 3, 2, (1, 1, 1), 0.12, 7): "4c4486eec6cec2efb1d257c46ca2f8c66da1c18c29f5ba3dc90cb6aa98b0d7e2",
+    (40, 3, 2, (1, 2, 1), 0.15, 0): "703a23522f1fdfb19e59fa72d4d1824d0a389617dca18a1ef53f8608cfcf4d2f",
+    (160, 3, 2, (1, 1, 1), 0.1, 1): "e803cd3dbbae3c659fece9b5e4c1884b8eb68ac8dc1d1cd9f487faf0ceb68930",
+    (320, 2, 3, (2, 3), 0.05, 9): "89d8174bc71c6a62a1a71623f5e2ee2c0a78268ddf2f67601c9aee28f04dba73",
+}
+
+
 class TestGenerateSynthetic:
     def test_paper_sized_graph(self):
         ifg = generate_synthetic(18, 3, 2, (1, 1, 1), 0.12, seed=7)
@@ -591,6 +651,12 @@ class TestGenerateSynthetic:
         for seed in range(100):
             ifg = generate_synthetic(10, 3, 2, (1, 1, 1), 0.25, seed=seed)
             ifg.validate()
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_SYNTHETIC))
+    def test_saved_bytes_unchanged(self, args, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph(generate_synthetic(*args), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SYNTHETIC[args]
 
 
 def bfs(adj, sources):

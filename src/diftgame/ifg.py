@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
@@ -388,11 +389,17 @@ def merge_directory_nodes(g: RawLogGraph, groups: dict[str, str]) -> RawLogGraph
     longest one wins.  Incident edges are re-attached to the merged node;
     parallel edges are collapsed and self-loops created by the merge are
     dropped.  Groups that match no node leave the graph unchanged.
+
+    A file node labelled with a group's merged label ``L``, or with ``L``
+    and version suffixes ``#k`` (the labels versioning gives copies of the
+    merged node), is left alone, so merging an output of ``diftgame prune``
+    again with the same groups changes nothing.
     """
     prefixes = sorted(groups, key=len, reverse=True)
+    merged = re.compile("(?:%s)(?:#[0-9]+)*" % "|".join(map(re.escape, set(groups.values()))))
 
     def group_of(n: IfgNode) -> str | None:
-        if n.kind != "file":
+        if n.kind != "file" or merged.fullmatch(n.label):
             return None
         for p in prefixes:
             if n.label.startswith(p):

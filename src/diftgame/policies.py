@@ -126,19 +126,38 @@ def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
     floats: on the learner's rows of 2-27 entries that is 3-7x faster than
     numpy's sort and cumsum.
 
+    The reference is the forward loop over the entries less the floor,
+    sorted descending as u_1 >= u_2 >= ...: it adds ``acc += u_i`` from
+    ``acc = 0.0``, takes ``t = (acc - mass) / i`` and keeps as theta the
+    t of the *last* i whose test ``u_i - t > 0`` holds.  Every output
+    here has that loop's bits.
+
     A 2-entry row, the commonest in the learner, skips the sort and the
-    loop: it makes their IEEE operations in their order, so its output
-    has the same bits.  ``sorted(w, reverse=True)`` puts the second entry
-    first only when the first is strictly less (a tie or a NaN keeps the
-    order); the loop's ``0.0 + hi`` and ``/ 1`` are exact and dropped (a
-    signed zero of ``0.0 + hi`` is lost in the ``- mass`` that follows, as
-    mass > 0); theta is the last t whose test ``u - t > 0`` holds.  A row
-    with no threshold, from magnitudes where ``hi - mass`` rounds to
+    loop: it makes their IEEE operations in their order.
+    ``sorted(w, reverse=True)`` puts the second entry first only when the
+    first is strictly less (a tie or a NaN keeps the order); the loop's
+    ``0.0 + hi`` and ``/ 1`` are exact and dropped (a signed zero of
+    ``0.0 + hi`` is lost in the ``- mass`` that follows, as mass > 0).
+
+    A longer row searches from the top and stops at the *first* i whose
+    test holds, which is the loop's last one.  ``itertools.accumulate``
+    makes the loop's sums in its order; without the loop's ``0.0 +`` a
+    zero sum may keep a negative sign, which ``- mass`` drops.  A run of
+    entries exactly at the floor (``u_i == 0``, the learner's corner rows
+    hold many) is passed in one jump: across it the sum S does not change,
+    so ``t = (S - mass) / i`` has the sign of ``S - mass`` and the test
+    ``0 - t > 0`` holds for the whole run or for none of it, and the run's
+    top i, tested first, is its last passing index.  That sign survives
+    the division, which never underflows to a signed zero: mass >= 2**-53
+    (the least positive ``1.0 - x``), so a nonzero ``S - mass`` is at
+    least 2**-106 in magnitude, far above the subnormals even over i.
+
+    A row with no threshold, from magnitudes where ``hi - mass`` rounds to
     ``hi``, raises as the loop does.  So does every row holding NaN or
     inf, though a test can pass on one (the loop alone took ``[1.0, nan]``
     to ``[1.0, nan]``): on two entries a NaN ``lo - t`` gives it away, and
-    in the loop a sum ``acc`` that is not finite sends the row through
-    one ``isfinite`` pass, which only an overflowing finite row survives."""
+    on more a sum that is not finite sends the row through one
+    ``isfinite`` pass, which only an overflowing finite row survives."""
     n = len(v)
     if floor < 0 or floor * n >= 1.0:
         raise ValueError(f"floor {floor} infeasible for {n} actions")
@@ -163,18 +182,20 @@ def project_simplex(v: list[float], floor: float = 0.0) -> list[float]:
             floor + (0.0 if (d := b - theta) <= 0.0 else d),
         ]
     w = [x - floor for x in v]
-    rho = 0
-    acc = 0.0
-    for i, u in enumerate(sorted(w, reverse=True), 1):
-        acc += u
-        t = (acc - mass) / i
-        if u - t > 0:
-            rho, theta = i, t
-    # acc sums w: a NaN or inf entry leaves it NaN or inf; a finite one
+    u = sorted(w, reverse=True)
+    acc = list(itertools.accumulate(u))  # acc[k]: the loop's sum of u[:k + 1]
+    i = n
+    while i:
+        k = i - 1
+        t = (acc[k] - mass) / i
+        if (x := u[k]) - t > 0:
+            break
+        i = u.index(0.0) if x == 0.0 else k  # below the run of entries at the floor
+    # acc[-1] sums w: a NaN or inf entry leaves it NaN or inf; a finite one
     # can too, by overflow, so only then are the entries tested
-    if not rho or acc - acc != 0 and not all(map(isfinite, w)):
+    if not i or acc[-1] - acc[-1] != 0 and not all(map(isfinite, w)):
         raise ValueError(f"no simplex threshold for {v}")
-    return [floor + (0.0 if (d := x - theta) <= 0.0 else d) for x in w]
+    return [floor + (0.0 if (d := x - t) <= 0.0 else d) for x in w]
 
 
 def pick(p: np.ndarray, u: float) -> int:

@@ -137,16 +137,24 @@ def td_residual(
 
 
 def init_trainer(env: Env, cfg: TrainConfig) -> TrainerState:
-    """Fresh trainer state: uniform policies, zero tables, root start."""
+    """Fresh trainer state: uniform policies, zero tables, root start.
+
+    The uniform row of k actions is projected onto the floored simplex once
+    per distinct k, and every state gets its own copy of it: no two states
+    share a row object, so a write into one row changes no other."""
     n = env.n_states
+    start: dict[int, list[float]] = {}  # action count -> projected uniform row
     table_d = []
     table_a = []
     eps_d = []
     eps_a = []
     for s in range(n):
         k_d, k_a = map(len, env.actions(s))
-        table_d.append(project_simplex([1.0 / k_d] * k_d, cfg.exploration_floor))
-        table_a.append(project_simplex([1.0 / k_a] * k_a, cfg.exploration_floor))
+        for k in (k_d, k_a):
+            if k not in start:
+                start[k] = project_simplex([1.0 / k] * k, cfg.exploration_floor)
+        table_d.append(list(start[k_d]))
+        table_a.append(list(start[k_a]))
         eps_d.append([0.0] * k_d)
         eps_a.append([0.0] * k_a)
     return TrainerState(
@@ -173,6 +181,9 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     straight-line code over locals, with ``td_residual`` written inline in
     its operation order; the environment is stepped through ``env.step``
     and rows are projected through this module's ``project_simplex``.
+    An actor adds its move into the state's own row, which no other state
+    shares, and then replaces the row by its projection; if the projection
+    raises, the row keeps the move.
     """
     s = st.current
     n = st.n
@@ -220,15 +231,13 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     if len(row_d) > 1:
         move = d_pi * math.sqrt(row_d[di]) * abs(td_d) * math.tanh(c * eps_d_old)
         if not abs(move) < _MIN_STEP:
-            new = list(row_d)
-            new[di] += move
-            st.pi_d[s] = project_simplex(new, cfg.exploration_floor)
+            row_d[di] += move
+            st.pi_d[s] = project_simplex(row_d, cfg.exploration_floor)
     if len(row_a) > 1:
         move = d_pi * math.sqrt(row_a[ai]) * abs(td_a) * math.tanh(c * eps_a_old)
         if not abs(move) < _MIN_STEP:
-            new = list(row_a)
-            new[ai] += move
-            st.pi_a[s] = project_simplex(new, cfg.exploration_floor)
+            row_a[ai] += move
+            st.pi_a[s] = project_simplex(row_a, cfg.exploration_floor)
 
     st.current = s2
     st.n = n + 1
@@ -256,7 +265,8 @@ def train(
     needs the kernel; passing an :class:`Env` keeps the run strictly
     model-free and leaves those columns empty.  History rows are sampled at
     n = 1 and every ``cfg.stride`` iterations.  The returned policies are
-    re-projected with a zero floor.
+    re-projected with a zero floor, each distinct final row once; they are
+    fresh arrays and share no memory with the learner's rows.
     """
     from . import equilibrium  # local import: analytics are optional here
 
@@ -285,8 +295,16 @@ def train(
             else:
                 hist.rows.append((st.n, st.rho_d, st.rho_a, None, None, None))
 
+    # Equal rows project to equal bits: a learner row holds no NaN (the
+    # projection raises on one), and with floor 0 the sign of a zero entry,
+    # the one difference == hides, does not reach the output.
+    done: dict[tuple[float, ...], list[float]] = {}
+    for rows in (st.pi_d, st.pi_a):
+        for v in rows:
+            if (key := tuple(v)) not in done:
+                done[key] = project_simplex(v, 0.0)
     final = PolicyPair(
-        _policy("D", first_d, [project_simplex(v, 0.0) for v in st.pi_d]),
-        _policy("A", first_a, [project_simplex(v, 0.0) for v in st.pi_a]),
+        _policy("D", first_d, [done[tuple(v)] for v in st.pi_d]),
+        _policy("A", first_a, [done[tuple(v)] for v in st.pi_a]),
     )
     return final, hist

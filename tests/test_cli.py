@@ -321,6 +321,18 @@ class TestPruneMatchesComposition:
         src.write_text(json.dumps(_cyclic_graph(seed)))
         self.check(tmp_path, src, {"/var/log/": "/var/log/*"} if merge else None)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_merged_output_is_a_fixed_point_of_the_same_merge(self, tmp_path, seed):
+        # the merged node and its version copies (/var/log/* and
+        # /var/log/*#k) start with the prefix; merging them again would
+        # fold the copies back into one node and could close cycles
+        src, out, again = (tmp_path / f for f in ("raw.json", "out.json", "again.json"))
+        src.write_text(json.dumps(_cyclic_graph(seed)))
+        merge = ["--merge", "/var/log/=/var/log/*"]
+        assert main(["prune", "--in", str(src), "--out", str(out), *merge]) == 0
+        assert main(["prune", "--in", str(out), "--out", str(again), *merge]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
 
 class TestTrain:
     def test_produces_outputs_and_manifest(self, tmp_path, config, capsys):

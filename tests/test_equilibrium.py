@@ -734,7 +734,11 @@ def synthetic_160():
 
 # sha256 of each oracle's output on a seeded Dirichlet pair, recorded before
 # the slack helpers were folded into one routine: every oracle output keeps
-# its bits through a refactor of how the slack is computed.
+# its bits through a refactor of how the slack is computed.  The keys that
+# read evaluate_policy_pair's dense LU (omega_ev, exact_gradient_ev,
+# residuals_ev, certify_arne) depend on OpenBLAS's thread count on the
+# 160-node game; conftest.py pins one thread, and those four were
+# re-recorded under it.
 ORACLE_GOLDEN = {
     ("fixture", 1): {
         "omega": "2e668073ba10da44b815d81e01e1a0eaeeca3f4867be52053765844b2686c95f",
@@ -764,28 +768,28 @@ ORACLE_GOLDEN = {
     },
     ("synthetic-160", 1): {
         "omega": "ab942da32f219c4e8c28d922c593a697e55b58c4b378bfcc59539b305231cce7",
-        "omega_ev": "74bb3dfa90d692cea78cf31b66ba499ee0e9568d4c6ca68b78f7a6ff40ca4c41",
+        "omega_ev": "526392343c83db80497c844b5aefa399ae1d423bf91e68971ea15efddccf4688",
         "exact_gradient": "a7926da153701a8715d6c3eab914d208f67daf3e65cf611b04ae152b082a80f6",
-        "exact_gradient_ev": "8d71fe6d9c17f94f18ee144d2cada3dcf96cf4d631ad8f5d77b398376f596bb8",
+        "exact_gradient_ev": "4038083a0555889ac3c3eb7a17a2f8c949058c24a2214c0c85f6b51e3c713172",
         "residuals": "f18f0bd32d2fc4e06e492a512b9dc5159366b7845b6b0cd20bb880a272929ebc",
-        "residuals_ev": "c4c19d9fc62224a3a78617cb0aa2c1099788ee240f67485fa10e94b2b84242e1",
+        "residuals_ev": "f8b463e1c96bac1d6cc7165b64cc3c5764c40f7ff4609fb396eab574d9c1861e",
         "td_errors": "46deb0543b96b7c2f43be690e32b719db007c7011bb136a702829e438efc4624",
         "td_errors_iterates": "96319e9d576d6cae05ffc6ade1e2aa5bb90c02b26df5a186a8c08006b3d564ac",
         "delta": "99e6d0bbd90b4989cb752d4c3f48cf71555bd923a8f7cb8e3048d168c037f876",
-        "certify_arne": "1b0848e61d994d785b4f5489cd6a77adf841234c511cbec194a42a32eec55122",
+        "certify_arne": "99dff0e75f6d8ce8e6ee07c7259aa52a84e8f2d9401a78264d787b23eeb2eeb5",
         "compare_defenses": "1dcd5ab3ea648330c446a6f5a3c02648f5477a832c9ccbfe611cf43dbcb3eef2",
     },
     ("synthetic-160", 2): {
         "omega": "bf4862194ee528daae04d2a7054d36cc106744f3e7665d2f8ae6407f41c9f885",
-        "omega_ev": "083620bc3f92548fa8d43429cd41f40bdaea929f9a1454a81e994a4f909c1bcc",
+        "omega_ev": "03afdeec366ddacaf78b7e83fb24d7ae6c6771cfc4fe28949084e02c18769eca",
         "exact_gradient": "fb26d689dee14fe1815671a7575ad4766ed0f3a03ae30b8ad8106203c7da094e",
-        "exact_gradient_ev": "a8e8d02a5951f1fe12ccb0dcf8a0323c27120a0a27a89fb06fdf365e75e483eb",
+        "exact_gradient_ev": "f2cc5b6bf5547904eb1f56fd0501764ea695301ac254980589fb64547474674e",
         "residuals": "065b50070d14aa763338a773a03477b5d86c495c220aef00125cd81c9311f07a",
-        "residuals_ev": "d1617f3c3dc3289d02a9d6f00c4e169fca0fbd8e0cb82799f5c330f4ff747f25",
+        "residuals_ev": "874c52de7bf15595fdccf6d361f926eebd2eeff84ee49125dda9734a4a5ae37a",
         "td_errors": "55eb7ad29d0d06c270f4fbe7ea2ffe231270d5a8ecc8cb15acaf8cc3977553d7",
         "td_errors_iterates": "9b19b50b6164748dd54357010b92c92b641b81a185faef2f24ff5d9d9b934708",
         "delta": "59729d46a88ee1b6471d3c25073fa48c3a3e973b119c2c66deb50c590642c0fd",
-        "certify_arne": "86410d059d75759e667c0c7cbcc3cda351d1019e76f4fa3dc0391138e93d894f",
+        "certify_arne": "2eda205f7aa8389d907fd1c0be5579b537a0a135694b85c8c210a9d6fa7599c6",
         "compare_defenses": "c85609e88707221218a971597207024b1942de5571aa986a1c957707357f8d8f",
     },
 }

@@ -253,6 +253,21 @@ class TestMergeDirectories:
         assert len(out.nodes) == 1
         assert out.edges == []
 
+    def test_merged_label_and_its_version_copies_are_left_alone(self):
+        # a pruned file holds the merged node "/var/log/*" and its version
+        # copies "/var/log/*#k"; only the other labels under the prefix merge
+        labels = ["/var/log/*", "/var/log/*#2", "/var/log/*#10#3", "/var/log/*#x", "/var/log/a"]
+        g = raw(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], kinds=["process"] + ["file"] * 5)
+        for i, label in enumerate(labels, 1):
+            g.nodes[i] = IfgNode(i, "file", label)
+        out = merge_directory_nodes(g, {"/var/log/": "/var/log/*"})
+        kept = {n.id: n.label for n in out.nodes}
+        assert [kept[i] for i in (1, 2, 3)] == labels[:3]
+        assert 4 not in kept and 5 not in kept  # "#x" is no version suffix
+        merged = max(kept)
+        assert kept[merged] == "/var/log/*"
+        assert out.edges == [(0, 1), (1, 2), (2, 3), (3, merged)]
+
     def test_roles_remapped_to_merged_node(self):
         g = raw(3, [(0, 1), (1, 2)], kinds=["process", "file", "file"])
         g.nodes[1] = IfgNode(1, "file", "/data/x")

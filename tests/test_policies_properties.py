@@ -194,6 +194,56 @@ def test_finite_rows_of_any_magnitude_keep_the_loop_outcome(case):
 
 
 @st.composite
+def learner_shaped_rows(draw):
+    """A row as the learner makes it: 3-30 entries on the floored simplex,
+    with a run of entries exactly at the floor, then one entry moved up or
+    down by an actor step, at floor 0, the default exploration floor or a
+    drawn one.  The top-down search passes such a run in one jump."""
+    n = draw(st.integers(3, 30))
+    floor = draw(st.one_of(st.just(0.0), st.just(1e-3), st.floats(0.0, 0.999 / n)))
+    active = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=len(active), max_size=len(active)))
+    mass = 1.0 - floor * n
+    v = [floor] * n
+    for i, weight in zip(active, weights):
+        v[i] = floor + mass * weight / sum(weights)
+    step = st.one_of(
+        st.floats(-1.0, 1.0),
+        st.floats(-1e-6, 1e-6),
+        st.sampled_from([0.0, -floor, floor, 1e-15, -1e-15, 2.0**-52, -(2.0**-52)]),
+    )
+    v[draw(st.integers(0, n - 1))] += draw(step)
+    return v, floor
+
+
+def corner_row(n, floor, moved):
+    """The learner's corner row: one entry holds the mass, the others sit
+    at the floor, and entry 1 is moved by ``moved``."""
+    v = [1.0 - floor * (n - 1)] + [floor] * (n - 1)
+    v[1] += moved
+    return v
+
+
+@settings(max_examples=600, deadline=None)
+@given(learner_shaped_rows())
+@example((corner_row(27, 1e-3, -4e-4), 1e-3))  # moved entry below the floor
+@example((corner_row(27, 1e-3, 4e-4), 1e-3))
+@example((corner_row(27, 0.0, -1e-3), 0.0))
+@example((corner_row(3, 1e-3, -1e-3), 1e-3))  # moved entry to 0, the rest at the floor
+def test_learner_shaped_rows_match_the_loop(case):
+    v, floor = case
+    assert outcome(training.project_simplex, v, floor) == outcome(loop_projection, v, floor)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-3, 0.02])
+@pytest.mark.parametrize("k", range(3, 31))
+def test_uniform_start_rows_match_the_loop(k, floor):
+    # init_trainer projects one uniform row per action count
+    v = [1.0 / k] * k
+    assert outcome(training.project_simplex, v, floor) == outcome(loop_projection, v, floor)
+
+
+@st.composite
 def policies(draw):
     """A policy for GAME; rows with no positive weight become deterministic."""
     player = draw(st.sampled_from("DA"))

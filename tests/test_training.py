@@ -316,13 +316,66 @@ def test_model_free_train_golden(seed, digest):
     assert h.hexdigest() == digest
 
 
+class TestDistinctRowProjection:
+    """``init_trainer`` projects each distinct start row once and ``train``
+    each distinct final row once; every row must still be the per-state
+    projection, bit for bit, and no two states may share a row object, as
+    ``train_step`` writes an actor's move into the row in place."""
+
+    @pytest.fixture(scope="class")
+    def game160(self):
+        return build_game(
+            generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+        )
+
+    @staticmethod
+    def bits(row):
+        return np.asarray(row, dtype=float).tobytes()
+
+    def test_start_rows_are_per_state_projections(self, game160):
+        cfg = TrainConfig(iterations=0)
+        st = init_trainer(Env(game160, seed=1), cfg)
+        for rows, sets in ((st.pi_d, game160.actions_d), (st.pi_a, game160.actions_a)):
+            assert len(rows) == len(sets) == game160.n_states
+            for row, acts in zip(rows, sets):
+                k = len(acts)
+                want = training.project_simplex([1.0 / k] * k, cfg.exploration_floor)
+                assert self.bits(row) == self.bits(want)
+
+    def test_a_write_into_one_start_row_changes_no_other(self, game160):
+        st = init_trainer(Env(game160, seed=1), TrainConfig(iterations=0))
+        rows = st.pi_d + st.pi_a
+        before = [list(row) for row in rows]
+        for i, row in enumerate(rows):
+            row[-1] = float(i)
+            assert all(
+                other == (before[j][:-1] + [float(j)] if j <= i else before[j])
+                for j, other in enumerate(rows)
+            )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_final_rows_are_per_state_projections(self, game160, seed):
+        cfg = TrainConfig(iterations=2500, warmup=625, seed=seed)
+        pair, _ = train(Env(game160, seed=seed), cfg)
+        env = Env(game160, seed=seed)
+        env.reset()
+        st = init_trainer(env, cfg)
+        for _ in range(cfg.iterations):
+            train_step(st, env, cfg)
+        for pol, rows in ((pair.d, st.pi_d), (pair.a, st.pi_a)):
+            assert len(pol.table) == len(rows)
+            for got, row in zip(pol.table, rows):
+                assert self.bits(got) == self.bits(training.project_simplex(row, 0.0))
+
+
 def test_traced_entry_points_run_once_per_step(monkeypatch):
     # perfbench counts calls to training.train_step, Env.step and
     # training.project_simplex for its env.step_calls, train_step_calls,
     # project_simplex_calls and actor_update_ratio figures; a train or
     # train_step that inlined one of them would leave its figure unmeasured.
-    # 31167 projections (two per state at start and end, one per actor
-    # update) were counted before 2-entry rows skipped the projection loop.
+    # 31129 projections: 31115 actor updates, 2 at the start (one uniform
+    # row per action count, 1 and 2 on this 13-state game) and 12 at the
+    # end (one per distinct final row of 26).
     counts = Counter()
 
     def counted(name, fn):
@@ -336,4 +389,4 @@ def test_traced_entry_points_run_once_per_step(monkeypatch):
     monkeypatch.setattr(Env, "step", counted("step", Env.step))
     monkeypatch.setattr(training, "project_simplex", counted("project", training.project_simplex))
     train(Env(fixture_game(), seed=17), TrainConfig(iterations=20000, seed=17))
-    assert counts == {"train_step": 20000, "step": 20000, "project": 31167}
+    assert counts == {"train_step": 20000, "step": 20000, "project": 31129}

@@ -100,6 +100,18 @@ def rollout_average(
     through per-step array ops.  The pair is validated against the env's
     game first (``PolicyPair.validate``): a malformed row would otherwise
     sample its first action.
+
+    A row is drawn by inverse CDF on its cumulative sums ``cum``: the
+    action is ``bisect_right(cum, u * total)`` capped at the last index,
+    where ``total`` is ``cum``'s last entry.  A per-state table, built once
+    per call, holds each player's ``cum``, total and last index next to the
+    state's outcome rows.  Rows of one or two actions skip the search, and
+    give the capped search's action on every input: one action is 0, and
+    ``bisect_right([c0, c1], x)`` capped at 1 is 0 exactly when ``x < c0``
+    (``x = u * total`` stays below a positive total for ``u < 1``, so the
+    cap matters only there).  Every row still takes its uniform, a 1-action
+    row too, so every draw, action, state and running sum is the search's,
+    and the averages keep their bits.
     """
     from bisect import bisect_right
 
@@ -111,7 +123,10 @@ def rollout_average(
         [np.cumsum(pol.flat[i:j]).tolist() for i, j in itertools.pairwise(pol.first.tolist())]
         for pol in (pi.d, pi.a)
     )
-    rows = env._rows
+    table = [
+        (cd, cd[-1], len(cd) - 1, ca, ca[-1], len(ca) - 1, out)
+        for cd, ca, out in zip(cum_d, cum_a, env._rows)
+    ]
     total_d = 0.0
     total_a = 0.0
     au = uniforms([action_seed, 1])
@@ -119,18 +134,25 @@ def rollout_average(
     # The range comes first, so zip stops without drawing past the last
     # step.  Continuing the env's transition stream keeps the env replayable.
     for _, u_d, u_a, u in zip(range(steps), au, au, env._uniforms):
-        cd = cum_d[s]
-        last = len(cd) - 1
-        di = bisect_right(cd, u_d * cd[last])
-        if di > last:
-            di = last
-        ca = cum_a[s]
-        last = len(ca) - 1
-        ai = bisect_right(ca, u_a * ca[last])
-        if ai > last:
-            ai = last
+        cd, t_d, last_d, ca, t_a, last_a, rows = table[s]
+        if last_d == 1:
+            di = 0 if u_d * t_d < cd[0] else 1
+        elif last_d == 0:
+            di = 0
+        else:
+            di = bisect_right(cd, u_d * t_d)
+            if di > last_d:
+                di = last_d
+        if last_a == 1:
+            ai = 0 if u_a * t_a < ca[0] else 1
+        elif last_a == 0:
+            ai = 0
+        else:
+            ai = bisect_right(ca, u_a * t_a)
+            if ai > last_a:
+                ai = last_a
         # the case of (di, ai), as in Game.outcomes
-        out = rows[s][ai][0 if di == 0 else 2 if di == ai + 1 else 1]
+        out = rows[ai][0 if di == 0 else 2 if di == ai + 1 else 1]
         if len(out) == 1 or u < out[0][1]:
             s, _, r_d, r_a = out[0]
         else:

@@ -32,6 +32,10 @@ log = logging.getLogger(__name__)
 
 NODE_KINDS = ("process", "file", "socket", "other")
 
+# a high surrogate followed by a low one: written as two escapes, read back
+# as one character (compiled by re on first use, not at import)
+_SURROGATE_PAIR = "[\ud800-\udbff][\udc00-\udfff]"
+
 
 class GraphLoadError(ValueError):
     """Malformed or schema-violating graph file."""
@@ -239,7 +243,10 @@ def save_graph(g: RawLogGraph | Ifg, path: str) -> None:
     per node and one per edge; strings go through the ASCII escaper that
     encoder uses by default.  Every id must be a plain ``int``, as
     :meth:`Ifg.validate` checks, and the file is opened only once the whole
-    text is built, so a bad graph leaves no partial file.
+    text is built, so a bad graph leaves no partial file.  A label that
+    holds a surrogate pair as two code points raises ``GraphLoadError``: its
+    two escapes would load back as one character.  A lone surrogate is
+    written as its escape and loads back unchanged.
     """
     edges = sorted(g.edges)
     ends = list(chain.from_iterable(edges))
@@ -252,6 +259,12 @@ def save_graph(g: RawLogGraph | Ifg, path: str) -> None:
         ("destination", list(chain.from_iterable(destinations))),
     ):
         _plain_ints(values, what)
+    for n in g.nodes:
+        if re.search(_SURROGATE_PAIR, n.label):
+            raise GraphLoadError(
+                f"node {n.id}: label {n.label!r} holds a surrogate pair, which a graph file "
+                "would read back as one character"
+            )
     nodes = [
         '  {\n   "id": %d,\n   "kind": %s,\n   "label": %s\n  }'
         % (n.id, _json_str(n.kind), _json_str(n.label))
@@ -707,11 +720,14 @@ def generate_synthetic(
     entries = set(range(n_entries))
     destinations = [set(blocks[j][-dests[j]:]) for j in range(stages)]
 
+    # one row of candidate edges per source, drawn as one array: the same
+    # uniforms, in the same order, as one scalar draw per pair
     edges: set[tuple[int, int]] = set()
     for i in range(n_nodes):
-        for k in range(max(i + 1, n_entries), n_nodes):
-            if rng.random() < edge_density:
-                edges.add((i, k))
+        lo = max(i + 1, n_entries)
+        if lo < n_nodes:
+            hits = np.flatnonzero(rng.random(n_nodes - lo) < edge_density) + lo
+            edges.update((i, k) for k in hits.tolist())
 
     def has_out_into(u: int, pool: list[int]) -> bool:
         return any((u, w) in edges for w in pool)

@@ -181,6 +181,12 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     straight-line code over locals, with ``td_residual`` written inline in
     its operation order; the environment is stepped through ``env.step``
     and rows are projected through this module's ``project_simplex``.
+    Actions are drawn as :func:`~diftgame.policies.pick` draws them, with
+    its loop unrolled for short rows: a row of one action gives 0, and a row
+    of two gives ``0 if u < row[0] else 1`` (``pick`` compares ``u`` with
+    ``0.0 + row[0]``, which compares like ``row[0]``, a ``-0.0`` included).
+    Every row still takes its uniform, a 1-action row too, so the draws stay
+    aligned with the stream; longer rows go through ``pick``.
     An actor adds its move into the state's own row, which no other state
     shares, and then replaces the row by its projection; if the projection
     raises, the row keeps the move.
@@ -194,9 +200,23 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
 
     row_d = st.pi_d[s]
     row_a = st.pi_a[s]
+    k_d = len(row_d)
+    k_a = len(row_a)
     draws = st._uniforms
-    di = pick(row_d, next(draws))
-    ai = pick(row_a, next(draws))
+    u_d = next(draws)
+    u_a = next(draws)
+    if k_d == 2:
+        di = 0 if u_d < row_d[0] else 1
+    elif k_d == 1:
+        di = 0
+    else:
+        di = pick(row_d, u_d)
+    if k_a == 2:
+        ai = 0 if u_a < row_a[0] else 1
+    elif k_a == 1:
+        ai = 0
+    else:
+        ai = pick(row_a, u_a)
     s2, r_d, r_a = env.step(env._actions_d[s][di], env._actions_a[s][ai])
 
     v_d = st.v_d
@@ -228,12 +248,12 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     # sign makes that +step * sqrt(pi) * |td| * tanh(c * eps).  A move
     # below _MIN_STEP is no update (a NaN move is one, as it is not below).
     c = cfg.sgn_sharpness
-    if len(row_d) > 1:
+    if k_d > 1:
         move = d_pi * math.sqrt(row_d[di]) * abs(td_d) * math.tanh(c * eps_d_old)
         if not abs(move) < _MIN_STEP:
             row_d[di] += move
             st.pi_d[s] = project_simplex(row_d, cfg.exploration_floor)
-    if len(row_a) > 1:
+    if k_a > 1:
         move = d_pi * math.sqrt(row_a[ai]) * abs(td_a) * math.tanh(c * eps_a_old)
         if not abs(move) < _MIN_STEP:
             row_a[ai] += move

@@ -20,7 +20,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
-from hypothesis import event, given, settings, strategies as st  # noqa: E402
+from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
 from diftgame.game import classify_chain  # noqa: E402
 from diftgame.ifg import (  # noqa: E402
@@ -163,13 +163,50 @@ def json_doc(g):
     }
 
 
+def has_surrogate_pair(label):
+    return any(
+        "\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff" for a, b in zip(label, label[1:])
+    )
+
+
+@pytest.mark.parametrize(
+    "label, saved",
+    [
+        ("\ud800\udc00", False),
+        ("x\udbff\udfffy", False),
+        ("\ud800", True),
+        ("\udc00\ud800", True),
+        ("\ud800x\udc00", True),
+        ("\U00010000", True),
+    ],
+)
+def test_surrogate_pair_labels_rejected(tmp_path, label, saved):
+    g = RawLogGraph([IfgNode(0, "process", "a"), IfgNode(1, "file", label)], [(0, 1)], {0}, [{1}])
+    path = str(tmp_path / "g.json")
+    if not saved:
+        with pytest.raises(GraphLoadError, match="node 1: .*surrogate pair"):
+            save_graph(g, path)
+        assert not os.path.exists(path)
+        return
+    save_graph(g, path)
+    assert load_graph(path).nodes[1].label == label
+
+
 @settings(max_examples=200, deadline=None)
 @given(saved_graphs())
+@example(RawLogGraph([IfgNode(0, "process", "\ud800\udc00")], [], set(), []))
 def test_save_load_round_trip(g):
     """The file holds the bytes ``json.dumps(json_doc(g), indent=1)`` gives,
-    plus a newline, and loads back whenever its ids are dense."""
+    plus a newline, and loads back whenever its ids are dense.  A label
+    holding a surrogate pair, which the file would read back as one
+    character, is rejected and no file is written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.json")
+        if any(has_surrogate_pair(n.label) for n in g.nodes):
+            with pytest.raises(GraphLoadError, match="surrogate pair"):
+                save_graph(g, path)
+            assert not os.path.exists(path)
+            return
         save_graph(g, path)
         with open(path, "rb") as fh:
             assert fh.read() == (json.dumps(json_doc(g), indent=1) + "\n").encode()

@@ -316,6 +316,39 @@ def test_model_free_train_golden(seed, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "which, iterations, digest",
+    [
+        ("learn", 20000, "ba180fe93f92981ebaf186bff10dd4c21b954269cbc0c58fa9df71d7abe7f7b2"),
+        ("160", 2500, "251c5eba690f2dd0b5f209b7129ca7dee314deed611a808bd85bc24af88fae01"),
+    ],
+)
+def test_model_free_train_golden_without_floor(which, iterations, digest):
+    # sha256 as in test_model_free_train_golden, recorded while train_step
+    # drew every row through pick.  With no exploration floor the learner's
+    # rows reach exact zeros, which the draws of 1- and 2-action rows must
+    # compare as pick does.
+    if which == "learn":
+        game = fixture_game()
+    else:
+        game = build_game(
+            generate_synthetic(160, 3, 2, (1, 1, 1), 0.1, 1), RewardParams.defaults(3), FnRates(0.2)
+        )
+    cfg = TrainConfig(iterations=iterations, warmup=iterations // 4, seed=3, exploration_floor=0.0)
+    pair, hist = train(Env(game, seed=3), cfg)
+    h = hashlib.sha256()
+    for pol in (pair.d, pair.a):
+        for row in pol.table:
+            h.update(np.asarray(row, dtype=float).tobytes())
+    h.update(repr([(n, float(rd), float(ra)) for n, rd, ra, *_ in hist.rows]).encode())
+    assert h.hexdigest() == digest
+    env = Env(game, seed=3)
+    st = init_trainer(env, cfg)
+    for _ in range(iterations):
+        train_step(st, env, cfg)
+    assert any(0.0 in row for row in st.pi_d + st.pi_a if len(row) == 2)
+
+
 class TestDistinctRowProjection:
     """``init_trainer`` projects each distinct start row once and ``train``
     each distinct final row once; every row must still be the per-state

@@ -43,7 +43,6 @@ from .policies import (
     policy_from_json,
     policy_to_json,
     project_simplex,
-    sample,
     save_policy,
     uniform_policy,
 )
@@ -68,8 +67,6 @@ from .training import (
     TrainHistory,
     TrainerState,
     init_trainer,
-    schedules,
-    td_residual,
     train,
     train_step,
 )
@@ -85,11 +82,11 @@ __all__ = [
     "InvalidActionError", "NO_INSPECT", "QUIT", "ROOT", "RewardParams",
     "build_game", "classify_chain",
     "Policy", "PolicyPair", "cut_policy", "load_policy", "policy_from_json",
-    "policy_to_json", "project_simplex", "sample", "save_policy", "uniform_policy",
+    "policy_to_json", "project_simplex", "save_policy", "uniform_policy",
     "Env", "rollout_average",
     "Certificate", "EvalResult", "Residuals", "UnichainViolationError",
     "best_response", "certify_arne", "compare_defenses", "delta",
     "evaluate_policy_pair", "exact_gradient", "omega", "residuals", "td_errors",
-    "TrainConfig", "TrainHistory", "TrainerState", "init_trainer", "schedules",
-    "td_residual", "train", "train_step",
+    "TrainConfig", "TrainHistory", "TrainerState", "init_trainer", "train",
+    "train_step",
 ]

@@ -102,16 +102,19 @@ def rollout_average(
     sample its first action.
 
     A row is drawn by inverse CDF on its cumulative sums ``cum``: the
-    action is ``bisect_right(cum, u * total)`` capped at the last index,
-    where ``total`` is ``cum``'s last entry.  A per-state table, built once
-    per call, holds each player's ``cum``, total and last index next to the
-    state's outcome rows.  Rows of one or two actions skip the search, and
-    give the capped search's action on every input: one action is 0, and
-    ``bisect_right([c0, c1], x)`` capped at 1 is 0 exactly when ``x < c0``
-    (``x = u * total`` stays below a positive total for ``u < 1``, so the
-    cap matters only there).  Every row still takes its uniform, a 1-action
-    row too, so every draw, action, state and running sum is the search's,
-    and the averages keep their bits.
+    action is ``bisect_right(cum, u * total)``, where ``total`` is
+    ``cum``'s last entry.  That index is at most the row's last: a
+    validated row's total is positive (within 1e-9 of 1), and a draw is at
+    most ``1 - 2**-53``, so ``x = u * total < total = cum[-1]``, and
+    ``bisect_right`` moves its low end past an index only where ``x`` is at
+    least the entry there.  This holds even when an entry down to -1e-9
+    makes ``cum`` non-monotone.  A per-state table, built once per call,
+    holds each player's ``cum``, total and last index next to the state's
+    outcome rows.  Rows of one or two actions skip the search, and give its
+    action on every input: one action is 0, and ``bisect_right([c0, c1],
+    x)`` with ``x < c1`` is 0 exactly when ``x < c0``.  Every row still
+    takes its uniform, a 1-action row too, so every draw, action, state and
+    running sum is the search's, and the averages keep their bits.
     """
     from bisect import bisect_right
 
@@ -141,16 +144,12 @@ def rollout_average(
             di = 0
         else:
             di = bisect_right(cd, u_d * t_d)
-            if di > last_d:
-                di = last_d
         if last_a == 1:
             ai = 0 if u_a * t_a < ca[0] else 1
         elif last_a == 0:
             ai = 0
         else:
             ai = bisect_right(ca, u_a * t_a)
-            if ai > last_a:
-                ai = last_a
         # the case of (di, ai), as in Game.outcomes
         out = rows[ai][0 if di == 0 else 2 if di == ai + 1 else 1]
         if len(out) == 1 or u < out[0][1]:

@@ -68,9 +68,6 @@ class RawLogGraph:
     destinations: list[set[int]] = field(default_factory=list)
     self_loops_dropped: int = 0
 
-    def node_ids(self) -> set[int]:
-        return {n.id for n in self.nodes}
-
     def adjacency(self) -> dict[int, list[int]]:
         """Deduplicated out-neighbor lists, sorted for determinism."""
         adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
@@ -134,6 +131,22 @@ class Ifg:
                 f"nodes {sorted(extra)} lie on no entry-to-target or "
                 "target-to-target flow path"
             )
+        _check_labels(self.nodes)
+
+
+def _check_labels(nodes: list[IfgNode]) -> None:
+    """Raise :class:`GraphLoadError`, naming the first node, if a label
+    holds a surrogate pair as two code points: a graph file would hold its
+    two escapes, which ``json`` reads back as one character.  All labels
+    are searched at once (no pair spans the ``"\\0"`` between two of
+    them), and the node is looked up only on a hit."""
+    if re.search(_SURROGATE_PAIR, "\0".join([n.label for n in nodes])):
+        for n in nodes:
+            if re.search(_SURROGATE_PAIR, n.label):
+                raise GraphLoadError(
+                    f"node {n.id}: label {n.label!r} holds a surrogate pair, which a graph "
+                    "file would read back as one character"
+                )
 
 
 def _plain_ints(values: list[object], what: str) -> None:
@@ -259,12 +272,7 @@ def save_graph(g: RawLogGraph | Ifg, path: str) -> None:
         ("destination", list(chain.from_iterable(destinations))),
     ):
         _plain_ints(values, what)
-    for n in g.nodes:
-        if re.search(_SURROGATE_PAIR, n.label):
-            raise GraphLoadError(
-                f"node {n.id}: label {n.label!r} holds a surrogate pair, which a graph file "
-                "would read back as one character"
-            )
+    _check_labels(g.nodes)
     nodes = [
         '  {\n   "id": %d,\n   "kind": %s,\n   "label": %s\n  }'
         % (n.id, _json_str(n.kind), _json_str(n.label))

@@ -209,11 +209,6 @@ def pick(p: np.ndarray, u: float) -> int:
     return last
 
 
-def sample(policy: Policy, s: int, rng: np.random.Generator) -> int:
-    """Draw an action index at state ``s`` by inverse CDF on one uniform."""
-    return pick(policy.table[s], rng.random())
-
-
 def policy_to_json(game: Game, policy: Policy) -> dict:
     sets = game.actions_d if policy.player == "D" else game.actions_a
     states = [

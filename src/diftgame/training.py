@@ -108,34 +108,6 @@ class TrainHistory:
                 )
 
 
-def schedules(
-    n: int, s: int, cfg: TrainConfig, visits: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Step sizes (bias, payoff, critic, actor) for iteration n at state s.
-
-    During warmup the bias and critic move at a constant rate while the
-    payoff and actor schedules sit at 1.  Afterwards the bias and critic
-    decay with the visit count of the current state, the actor with the
-    post-warmup iteration count tau, and the payoff slot follows
-    1 / (1 + tau log tau).  The payoff slot is reported for completeness;
-    train_step advances the payoff averages as running means, whose
-    built-in 1/(n+1) correction already decays (see the comment there).
-    """
-    if n < cfg.warmup:
-        return cfg.step_pre, 1.0, cfg.step_pre, 1.0
-    tau = n - cfg.warmup + 1
-    kappa = max(int(visits[s]), 1)
-    d_fast = cfg.step_post / kappa
-    return d_fast, 1.0 / (1.0 + tau * math.log(tau)), d_fast, 1.0 / tau
-
-
-def td_residual(
-    r: float, rho: float, v: list[float] | np.ndarray, s: int, s_next: int
-) -> float:
-    """One-step average-reward temporal difference for one player."""
-    return r - rho + float(v[s_next]) - float(v[s])
-
-
 def init_trainer(env: Env, cfg: TrainConfig) -> TrainerState:
     """Fresh trainer state: uniform policies, zero tables, root start.
 
@@ -177,10 +149,17 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     """Advance the shared trajectory by one joint action and update tables.
 
     All right-hand sides use the pre-update iterates; commits happen at the
-    end, so the three timescales read one consistent snapshot.  The body is
-    straight-line code over locals, with ``td_residual`` written inline in
-    its operation order; the environment is stepped through ``env.step``
-    and rows are projected through this module's ``project_simplex``.
+    end, so the three timescales read one consistent snapshot.  The step
+    sizes at iteration n and state s are, for the bias, the critic and the
+    actor: ``step_pre``, ``step_pre`` and 1 during warmup; afterwards
+    ``step_post / visits[s]`` for both the bias and the critic, and
+    ``1 / tau`` for the actor, where tau = n - warmup + 1 counts the
+    post-warmup iterations.  ``visits[s]`` counts this visit before it is
+    read, so it is at least 1.  The payoff averages are running means and
+    take no step size.  The body is straight-line code over locals; each
+    temporal difference is ``r - rho + v[s'] - v[s]`` in that operation
+    order.  The environment is stepped through ``env.step`` and rows are
+    projected through this module's ``project_simplex``.
     Actions are drawn as :func:`~diftgame.policies.pick` draws them, with
     its loop unrolled for short rows: a row of one action gives 0, and a row
     of two gives ``0 if u < row[0] else 1`` (``pick`` compares ``u`` with
@@ -193,10 +172,14 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     """
     s = st.current
     n = st.n
-    visits = st.visits
-    if n >= cfg.warmup:
+    if n < cfg.warmup:
+        d_v = d_eps = cfg.step_pre
+        d_pi = 1.0
+    else:
+        visits = st.visits
         visits[s] += 1
-    d_v, _, d_eps, d_pi = schedules(n, s, cfg, visits)
+        d_v = d_eps = cfg.step_post / int(visits[s])
+        d_pi = 1.0 / (n - cfg.warmup + 1)
 
     row_d = st.pi_d[s]
     row_a = st.pi_a[s]
@@ -236,7 +219,7 @@ def train_step(st: TrainerState, env: Env, cfg: TrainConfig) -> TrainerState:
     v_d[s] = vs_d + d_v * td_d
     v_a[s] = vs_a + d_v * td_a
     # Payoff averages advance as plain running means over the whole run.
-    # Multiplying the mean correction by the payoff schedule on top of the
+    # Scaling the mean correction by a decaying payoff step on top of the
     # built-in 1/(n+1) would decay twice and freeze the iterate near its
     # warmup value, which breaks gain tracking once the policies move.
     st.rho_d = rho_d + ((n * rho_d + r_d) / (n + 1) - rho_d)

@@ -18,7 +18,7 @@ from diftgame.game import (
     build_game,
 )
 from diftgame.ifg import Ifg, IfgNode, generate_synthetic
-from diftgame.policies import Policy, PolicyPair, sample, uniform_policy
+from diftgame.policies import Policy, PolicyPair, pick, uniform_policy
 from test_acceptance import fixture_game
 
 
@@ -44,8 +44,8 @@ def walk(env, pair, steps, seed=0):
     for _ in range(steps):
         s = env.current
         acts_d, acts_a = env.actions(s)
-        d = acts_d[sample(pair.d, s, rng)]
-        a = acts_a[sample(pair.a, s, rng)]
+        d = acts_d[pick(pair.d.table[s], rng.random())]
+        a = acts_a[pick(pair.a.table[s], rng.random())]
         trace.append(env.step(d, a))
     return trace
 
@@ -87,14 +87,14 @@ class TestDeterminism:
         cur = ROOT
         for s2, _, _ in first:
             acts_d, acts_a = env.actions(cur)
-            sample(pair.d, cur, rng)
-            sample(pair.a, cur, rng)
+            pick(pair.d.table[cur], rng.random())
+            pick(pair.a.table[cur], rng.random())
             cur = s2
         for _ in range(100):
             s = env.current
             acts_d, acts_a = env.actions(s)
-            d = acts_d[sample(pair.d, s, rng)]
-            a = acts_a[sample(pair.a, s, rng)]
+            d = acts_d[pick(pair.d.table[s], rng.random())]
+            a = acts_a[pick(pair.a.table[s], rng.random())]
             replay.append(env.step(d, a))
         assert first + replay == full
 
@@ -138,8 +138,8 @@ class TestDynamics:
         for _ in range(500):
             s = env.current
             acts_d, acts_a = env.actions(s)
-            d = acts_d[sample(pair.d, s, rng)]
-            a = acts_a[sample(pair.a, s, rng)]
+            d = acts_d[pick(pair.d.table[s], rng.random())]
+            a = acts_a[pick(pair.a.table[s], rng.random())]
             s2, r_d, r_a = env.step(d, a)
             assert (r_d, r_a) == game.reward(s, d, a, s2)
             assert s2 in [t for t, _ in game.transition_dist(s, d, a)]

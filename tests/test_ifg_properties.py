@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
 from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
-from diftgame.game import classify_chain  # noqa: E402
+from diftgame.game import FnRates, RewardParams, build_game, classify_chain  # noqa: E402
 from diftgame.ifg import (  # noqa: E402
     NODE_KINDS,
     GraphLoadError,
@@ -169,7 +169,7 @@ def has_surrogate_pair(label):
     )
 
 
-@pytest.mark.parametrize(
+SURROGATE_LABELS = pytest.mark.parametrize(
     "label, saved",
     [
         ("\ud800\udc00", False),
@@ -180,6 +180,9 @@ def has_surrogate_pair(label):
         ("\U00010000", True),
     ],
 )
+
+
+@SURROGATE_LABELS
 def test_surrogate_pair_labels_rejected(tmp_path, label, saved):
     g = RawLogGraph([IfgNode(0, "process", "a"), IfgNode(1, "file", label)], [(0, 1)], {0}, [{1}])
     path = str(tmp_path / "g.json")
@@ -190,6 +193,20 @@ def test_surrogate_pair_labels_rejected(tmp_path, label, saved):
         return
     save_graph(g, path)
     assert load_graph(path).nodes[1].label == label
+
+
+@SURROGATE_LABELS
+def test_surrogate_pair_labels_fail_validation(label, saved):
+    """A graph built in memory fails at ``build_game`` (or ``to_ifg``),
+    through ``Ifg.validate``, with ``save_graph``'s message.  Node 0's
+    label ends in a high surrogate, and a pair split across two labels is
+    no pair."""
+    g = Ifg([IfgNode(0, "process", "a\ud800"), IfgNode(1, "file", label)], {(0, 1)}, {0}, [{1}])
+    if not saved:
+        with pytest.raises(GraphLoadError, match="node 1: .*surrogate pair"):
+            build_game(g, RewardParams.defaults(1), FnRates(default=0.2))
+        return
+    g.validate()
 
 
 @settings(max_examples=200, deadline=None)

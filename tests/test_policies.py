@@ -14,10 +14,10 @@ from diftgame.policies import (
     PolicyPair,
     cut_policy,
     load_policy,
+    pick,
     policy_from_json,
     policy_to_json,
     project_simplex,
-    sample,
     save_policy,
     uniform_policy,
 )
@@ -246,7 +246,7 @@ class TestSampling:
         vec[1] = 1.0
         pol.table[s][:] = vec
         rng = np.random.default_rng(0)
-        assert all(sample(pol, s, rng) == 1 for _ in range(100))
+        assert all(pick(pol.table[s], rng.random()) == 1 for _ in range(100))
 
     def test_frequencies_match_probabilities(self, game):
         # chi-square goodness of fit on 20k draws from a 3-way mixture
@@ -261,18 +261,12 @@ class TestSampling:
         counts = np.zeros(k)
         n = 20000
         for _ in range(n):
-            counts[sample(pol, s, rng)] += 1
+            counts[pick(pol.table[s], rng.random())] += 1
         _, pval = stats.chisquare(counts, probs * n)
         assert pval > 1e-3
 
     def test_rounding_tail_falls_back_to_last_action(self):
-        pol = Policy("A", [np.array([0.3, 0.7 - 1e-13])])
-
-        class High:
-            def random(self):
-                return 1.0 - 1e-16
-
-        assert sample(pol, 0, High()) == 1
+        assert pick(np.array([0.3, 0.7 - 1e-13]), 1.0 - 1e-16) == 1
 
 
 class TestPersistence:

@@ -1,4 +1,4 @@
-"""Learner tests: schedules, single-step updates, short-run behavior."""
+"""Learner tests: step sizes, single-step updates, short-run behavior."""
 
 import hashlib
 import math
@@ -14,8 +14,6 @@ from diftgame.ifg import Ifg, IfgNode, generate_synthetic
 from diftgame.training import (
     TrainConfig,
     init_trainer,
-    schedules,
-    td_residual,
     train,
     train_step,
 )
@@ -79,43 +77,78 @@ class TestConfig:
 
 
 class TestSchedules:
+    """The step sizes train_step uses, read back from one step's moves at
+    state 1 of ``tiny_game``, where each player has two actions."""
+
+    @staticmethod
+    def step_sizes(n, visits):
+        """One step from state 1 at iteration n, with its visit count
+        preset; returns the bias, critic and actor step sizes the
+        intruder's moves imply, and the state's visit count after the step."""
+        game = tiny_game()
+        env = Env(game, seed=11)
+        cfg = TrainConfig(iterations=0, seed=4)
+        st = init_trainer(env, cfg)
+        s = env.current = st.current = 1
+        st.n = n
+        st.visits[s] = visits
+        # nonzero tables, so that every difference below is nonzero
+        st.v_d = [0.25 * t for t in range(game.n_states)]
+        st.v_a = [0.5 * t - 2.0 for t in range(game.n_states)]
+        v_d, v_a = list(st.v_d), list(st.v_a)
+        st.rho_d, st.rho_a = 0.75, 0.25
+        st.eps_d[s] = [0.05, 0.05]
+        st.eps_a[s] = [0.05, 0.05]
+        row = st.pi_a[s]
+        p = list(row)
+        played = []
+        step = env.step
+
+        def spy(d, a):
+            out = step(d, a)
+            played.append((a, out))
+            return out
+
+        env.step = spy
+        train_step(st, env, cfg)
+        ((a, (s2, r_d, r_a)),) = played
+        ai = game.actions_a[s].index(a)
+        td_d = r_d - 0.75 + v_d[s2] - v_d[s]
+        td_a = r_a - 0.25 + v_a[s2] - v_a[s]
+        d_v = (st.v_a[s] - v_a[s]) / td_a
+        d_eps = (st.eps_a[s][ai] - 0.05) / (td_d + td_a - 0.05)
+        # the actor adds its move into the row, then replaces it by the projection
+        d_pi = (row[ai] - p[ai]) / (math.sqrt(p[ai]) * abs(td_a) * math.tanh(10 * 0.05))
+        return d_v, d_eps, d_pi, int(st.visits[s])
+
     def test_warmup_constants(self):
-        cfg = TrainConfig(iterations=0)
-        visits = np.zeros(5, dtype=np.int64)
-        assert schedules(0, 2, cfg, visits) == (0.5, 1.0, 0.5, 1.0)
-        assert schedules(6999, 2, cfg, visits) == (0.5, 1.0, 0.5, 1.0)
+        for n in (0, 6999):
+            d_v, d_eps, d_pi, visits = self.step_sizes(n, 0)
+            assert d_v == pytest.approx(0.5) and d_eps == pytest.approx(0.5)
+            assert d_pi == pytest.approx(1.0)
+            assert visits == 0  # warmup steps are not counted
 
     def test_post_warmup_decay(self):
-        cfg = TrainConfig(iterations=0)
-        visits = np.array([0, 3, 10], dtype=np.int64)
-        d_v, d_rho, d_eps, d_pi = schedules(7000, 1, cfg, visits)
-        assert d_v == d_eps == pytest.approx(1.6 / 3)
-        assert d_pi == 1.0  # tau = 1
-        assert d_rho == pytest.approx(1.0 / (1.0 + 1.0 * math.log(1.0)))
-        d_v, _, _, d_pi = schedules(7009, 2, cfg, visits)
-        assert d_v == pytest.approx(1.6 / 10)
+        d_v, d_eps, d_pi, visits = self.step_sizes(7000, 2)
+        assert visits == 3
+        assert d_v == pytest.approx(1.6 / 3) and d_eps == pytest.approx(1.6 / 3)
+        assert d_pi == pytest.approx(1.0)  # tau = 1
+        d_v, d_eps, d_pi, visits = self.step_sizes(7009, 9)
+        assert d_v == pytest.approx(1.6 / 10) and d_eps == pytest.approx(1.6 / 10)
         assert d_pi == pytest.approx(1.0 / 10.0)
 
-    def test_unvisited_state_clamps_to_one(self):
-        cfg = TrainConfig(iterations=0)
-        visits = np.zeros(3, dtype=np.int64)
-        d_v, _, d_eps, _ = schedules(8000, 0, cfg, visits)
-        assert d_v == d_eps == pytest.approx(1.6)
+    def test_first_visit_after_warmup_steps_at_step_post(self):
+        # the visit is counted before it is read, so the count is never 0
+        d_v, d_eps, _, visits = self.step_sizes(8000, 0)
+        assert visits == 1
+        assert d_v == pytest.approx(1.6) and d_eps == pytest.approx(1.6)
 
     def test_timescale_separation(self):
-        # actor slower than critic slower than nothing: at large tau the
-        # actor step is o(critic step) for a recurrent state
-        cfg = TrainConfig(iterations=0)
-        visits = np.full(3, 40000, dtype=np.int64)
-        d_v, d_rho, d_eps, d_pi = schedules(200000, 0, cfg, visits)
+        # at large tau the actor step is o(critic step) for a recurrent state
+        d_v, d_eps, d_pi, _ = self.step_sizes(200000, 39999)
+        assert d_v == pytest.approx(1.6 / 40000) and d_eps == pytest.approx(1.6 / 40000)
+        assert d_pi == pytest.approx(1.0 / 193001)
         assert d_pi < d_v
-        assert d_rho < d_pi
-
-
-class TestTdResidual:
-    def test_formula(self):
-        v = np.array([0.0, 2.5, -1.0])
-        assert td_residual(4.0, 1.5, v, 1, 2) == pytest.approx(4.0 - 1.5 - 1.0 - 2.5)
 
 
 class TestInit:
